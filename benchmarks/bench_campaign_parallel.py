@@ -1,7 +1,7 @@
 """Campaign runtime: process-sharded plan walks and the context cache.
 
 Not a paper table: this benchmark tracks the shared campaign runtime
-(:mod:`repro.campaign`) added on top of the pruning engine.
+(:mod:`repro.campaign`) added on top of the planned engine.
 
 * ``test_campaign_sharding_cold`` — a cold hardware-testing campaign
   (every test simulated under the reference model and a chip

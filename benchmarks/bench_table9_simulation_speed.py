@@ -12,7 +12,7 @@ Allow/Forbid verdict of every test of the family, like the paper's
 campaign — and asserts the ordering single-event < multi-event <
 operational, and that only the operational engine exceeds a per-test
 time budget on the hardest tests.  The herd row uses the simulator's
-verdict fast path (``Simulator.verdict``: pruning enumeration plus
+verdict fast path (``Simulator.verdict``: the planned engine plus
 early exit on the target outcome), which is the query the other two
 engines answer as well.
 """

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Observability: trace a repair campaign and read the counter tree.
 
-Every layer of the toolbox is instrumented — the pruning engine counts
-the rf/co candidates it enumerated and the subtrees it cut, the ILP
-solver counts branch-and-bound nodes and LP-bound prunes, the campaign
+Every layer of the toolbox is instrumented — the planned engine counts
+its walks, the executions it built and the extension steps behind them,
+the ILP solver counts branch-and-bound nodes and LP-bound prunes, the campaign
 runtime times every chunk, and all the caches report hits and misses
 through one interface.  Nothing is collected until you ask:
 

@@ -19,7 +19,7 @@ batches of independent simulate/verdict jobs over this one runtime:
 * :mod:`repro.campaign.context` — per-test
   :class:`~repro.campaign.context.SimulationContext` memoization of the
   front half of the pipeline (thread paths, event interning, fixed
-  relations, plan skeletons), keyed by structural test identity;
+  relations, plans), keyed by structural test identity;
 * :mod:`repro.campaign.jobs` — picklable job specs and the per-process
   warm state (resolved models, simulators, context caches) the workers
   re-hydrate them with;

@@ -5,10 +5,11 @@ A verdict or simulation query splits into two halves:
 1. a **front half** that depends only on the litmus test — enumerate the
    per-thread control/data paths, intern each combination's event
    universe into an :class:`~repro.core.bitrel.EventIndex`, build the
-   fixed relations (po, addr/data/ctrl, fences) and the rf×co plan
-   skeleton (:class:`~repro.herd.engine.ComboPlan`);
-2. a **back half** — the pruned plan walk plus the model's axiom checks
-   — that depends on the model.
+   fixed relations (po, addr/data/ctrl, fences) and the per-combination
+   plan (:class:`~repro.herd.optimal.OptimalPlan`) with its solved
+   per-location walks;
+2. a **back half** — the plan walk plus the model's axiom checks — that
+   depends on the model.
 
 The front half is roughly half the cost of a verdict query and is
 *model-independent*, so repeated queries against the same test — the
@@ -24,7 +25,7 @@ construction.
 Contexts build lazily at per-combination granularity: a verdict-only
 query against a register-only ``exists`` clause interns only the
 combinations that can witness the target (mirroring
-:func:`repro.herd.engine.target_plans`), and a later full run completes
+:func:`repro.herd.optimal.target_plans`), and a later full run completes
 the remaining combinations on demand.
 """
 
@@ -34,13 +35,9 @@ import itertools
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.herd.engine import BasePlan, ComboPlan, combination_matches_target
 from repro.herd.enumerate import CombinationContext, _thread_paths, combination_context
-from repro.herd.optimal import OptimalPlan
+from repro.herd.optimal import OptimalPlan, combination_matches_target
 from repro.litmus.ast import LitmusTest
-
-#: Plan classes by engine name (the plan-based half of ``ENGINES``).
-_PLAN_CLASSES = {"pruning": ComboPlan, "optimal": OptimalPlan}
 
 Fingerprint = Tuple
 
@@ -81,11 +78,13 @@ class SimulationContext:
     """The memoized front half of simulating one litmus test.
 
     Thread paths, per-combination :class:`CombinationContext` objects
-    and per-variant :class:`ComboPlan` skeletons are built on first use
+    and per-variant :class:`OptimalPlan` objects are built on first use
     and reused by every subsequent query — under any model, since none
-    of them depend on one.  Plan walks themselves stay per-query (a
-    :meth:`ComboPlan.leaves` walk carries no state between calls), so a
-    cached context may serve any number of sequential queries.
+    of them depend on one.  A cached plan keeps its solved per-location
+    walks, so repeated queries skip the exploration; each
+    :meth:`OptimalPlan.leaves` walk carries no other state between
+    calls, so a cached context may serve any number of sequential
+    queries.
     """
 
     __slots__ = ("test", "_paths", "_combinations", "_locations", "_contexts", "_plans")
@@ -96,7 +95,7 @@ class SimulationContext:
         self._combinations: Optional[Tuple] = None
         self._locations: Optional[set] = None
         self._contexts: Dict[int, CombinationContext] = {}
-        self._plans: Dict[Tuple[str, str, int], BasePlan] = {}
+        self._plans: Dict[Tuple[str, str, int], OptimalPlan] = {}
 
     def combinations(self) -> Tuple:
         """All choices of per-thread paths (enumerated once)."""
@@ -118,35 +117,32 @@ class SimulationContext:
         return context
 
     def plan(
-        self, variant: str, index: int, engine: str = "pruning"
-    ) -> BasePlan:
+        self, variant: str, index: int, engine: str = "optimal"
+    ) -> OptimalPlan:
         """The plan of combination *index* for one SC-PER-LOCATION
-        variant and one plan-based engine (built once per pair).  For
-        ``engine="optimal"`` the cached plan also carries its solved
-        per-location walks, so repeated queries — under any model —
-        skip the exploration entirely."""
+        variant (built once per key).  ``engine`` names the planned
+        engine the plan serves; it is part of the cache key
+        ``(engine, variant, index)``."""
         key = (engine, variant, index)
         plan = self._plans.get(key)
         if plan is None:
-            plan_class = _PLAN_CLASSES[engine]
-            plan = plan_class(self.context(index), self.test, variant)
+            plan = OptimalPlan(self.context(index), self.test, variant)
             self._plans[key] = plan
         return plan
 
     def plans(
-        self, variant: str = "standard", engine: str = "pruning"
-    ) -> Iterator[BasePlan]:
+        self, variant: str = "standard", engine: str = "optimal"
+    ) -> Iterator[OptimalPlan]:
         """Every combination's plan — the cached analogue of
-        :func:`repro.herd.engine.plans` (or, for ``engine="optimal"``,
-        :func:`repro.herd.optimal.plans`)."""
+        :func:`repro.herd.optimal.plans`."""
         for index in range(len(self.combinations())):
             yield self.plan(variant, index, engine)
 
     def target_plans(
-        self, variant: str = "standard", engine: str = "pruning"
-    ) -> Iterator[BasePlan]:
+        self, variant: str = "standard", engine: str = "optimal"
+    ) -> Iterator[OptimalPlan]:
         """Plans of the combinations that could witness the target — the
-        cached analogue of :func:`repro.herd.engine.target_plans`,
+        cached analogue of :func:`repro.herd.optimal.target_plans`,
         filtering with the same register-atom predicate."""
         condition = self.test.condition
         assert condition is not None, "target_plans needs a final condition"

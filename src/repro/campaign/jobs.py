@@ -10,7 +10,8 @@ on first use, memoizing them in module-level per-process state:
   (model name, engine) per process;
 * :func:`process_context_cache` — one :class:`ContextCache` per process,
   so every verdict a worker runs against a test it has seen before skips
-  the front half of the pipeline;
+  the front half of the pipeline and reuses the planned engine's
+  per-location solves;
 * checkers and chips are memoized the same way by the driver-specific
   chunk workers below.
 
@@ -46,7 +47,7 @@ _CHIPS: Dict[str, Any] = {}
 _CONTEXT_CACHE: Optional[ContextCache] = None
 
 
-def process_simulator(model_name: str, engine: str = "auto") -> Simulator:
+def process_simulator(model_name: str, engine: str = "optimal") -> Simulator:
     """This process's simulator for a model name (resolved once)."""
     key = (model_name, engine)
     simulator = _SIMULATORS.get(key)
@@ -94,7 +95,7 @@ class VerdictJob:
 
     test: LitmusTest
     model_name: str
-    engine: str = "auto"
+    engine: str = "optimal"
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,10 @@ class VerdictPairJob:
     """Allow/Forbid of one test under *several* models at once.
 
     The model-comparison driver's unit of work: the front half of the
-    pipeline (paths, event interning, plan skeletons) is model
-    independent, so one :class:`~repro.campaign.context.SimulationContext`
-    serves every model's verdict — a paired sweep pays it once where two
+    pipeline (paths, event interning, plans and their per-location
+    solves) is model independent, so one
+    :class:`~repro.campaign.context.SimulationContext` serves every
+    model's verdict — a paired sweep pays it once where two
     independent sweeps pay it twice.  ``models`` are names (workers
     re-hydrate them); two entries for an A-vs-B comparison, more for
     ``-violates/-satisfies`` style multi-model filters.
@@ -112,7 +114,7 @@ class VerdictPairJob:
 
     test: LitmusTest
     models: Tuple[str, ...]
-    engine: str = "auto"
+    engine: str = "optimal"
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class SimulateJob:
 
     test: LitmusTest
     model_name: str
-    engine: str = "auto"
+    engine: str = "optimal"
     until: Optional[str] = None
 
 

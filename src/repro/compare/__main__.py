@@ -13,8 +13,10 @@ filter (forbidden by every ``--violates`` model, allowed by every
       tso allows r+syncs (4 events, 2 threads) where power forbids it
       power allows lb (4 events, 2 threads) where tso forbids it
 
-Exit status is 0 whenever the comparison ran; ``--json`` emits the full
-:class:`~repro.compare.report.ComparisonReport` dictionary instead.
+Exit status is 0 whenever the comparison ran and 2 on usage errors (an
+unknown engine, a corpus bound out of range); ``--json`` emits the
+full :class:`~repro.compare.report.ComparisonReport` dictionary
+instead.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import sys
 from typing import List, Optional
 
 from repro.compare.corpus import CorpusBudget, event_count
+from repro.herd.simulator import ENGINE_ALIASES, ENGINES
 
 
 def _processes(value: str):
@@ -81,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        default="auto",
-        help="enumeration engine (auto/pruning/optimal/naive)",
+        default="optimal",
+        choices=ENGINES + tuple(ENGINE_ALIASES),
+        help="enumeration engine (auto and pruning are deprecated aliases of optimal)",
     )
     parser.add_argument(
         "--processes",
@@ -97,16 +101,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    options = build_parser().parse_args(argv)
-    budget = CorpusBudget(
-        max_events=options.events,
-        max_threads=options.threads,
-        arch=options.arch,
-        fences=not options.no_fences,
-        dependencies=not options.no_deps,
-        include_registry=not options.no_registry,
-        limit=options.limit,
-    )
+    parser = build_parser()
+    options = parser.parse_args(argv)
+    try:
+        budget = CorpusBudget(
+            max_events=options.events,
+            max_threads=options.threads,
+            arch=options.arch,
+            fences=not options.no_fences,
+            dependencies=not options.no_deps,
+            include_registry=not options.no_registry,
+            limit=options.limit,
+        )
+    except ValueError as error:
+        parser.error(str(error))  # exits 2
     filtering = bool(options.violates or options.satisfies)
     if filtering and options.models:
         print(

@@ -8,7 +8,7 @@ sets — with two economies on top:
 * **paired contexts** — both models' verdicts of one test share one
   :class:`~repro.campaign.context.SimulationContext`, so the
   model-independent front half of the pipeline (thread paths, event
-  interning, plan skeletons) is paid once per test instead of once per
+  interning, plans) is paid once per test instead of once per
   (test, model) pair;
 * **campaign sharding** — the paired jobs fan out over the supervised
   campaign runtime (:class:`~repro.campaign.jobs.VerdictPairJob`) when
@@ -65,7 +65,7 @@ def paired_verdicts(
     tests: Sequence[LitmusTest],
     models: Sequence[ModelLike],
     *,
-    engine: str = "auto",
+    engine: str = "optimal",
     processes=None,
     pool=None,
     context_cache=None,
@@ -144,7 +144,7 @@ def compare_models(
     *,
     budget: Optional[CorpusBudget] = None,
     tests: Optional[Sequence[LitmusTest]] = None,
-    engine: str = "auto",
+    engine: str = "optimal",
     processes=None,
     pool=None,
     context_cache=None,
@@ -230,7 +230,7 @@ def find_distinguishing_tests(
     *,
     budget: Optional[CorpusBudget] = None,
     tests: Optional[Sequence[LitmusTest]] = None,
-    engine: str = "auto",
+    engine: str = "optimal",
     processes=None,
     pool=None,
     context_cache=None,

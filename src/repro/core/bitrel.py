@@ -126,21 +126,6 @@ def rows_find_cycle(rows: Rows, closure: Optional[Rows] = None) -> Optional[List
     return None  # pragma: no cover - start lies on a cycle by construction
 
 
-def add_edge_closure(closure: List[int], src: int, dst: int) -> None:
-    """Add edge ``src -> dst`` to a *closed* reachability matrix, in place.
-
-    O(n) word operations: everything reaching ``src`` (and ``src``
-    itself) now also reaches ``dst`` and everything ``dst`` reaches.
-    """
-    through = closure[dst] | (1 << dst)
-    if through & ~closure[src] == 0:
-        return  # already closed: every reacher of src inherited it earlier
-    bit = 1 << src
-    for i, row in enumerate(closure):
-        if i == src or row & bit:
-            closure[i] = row | through
-
-
 # ---------------------------------------------------------------------------
 # Interning
 # ---------------------------------------------------------------------------

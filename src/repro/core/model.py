@@ -142,7 +142,7 @@ class Model:
         classification of Tab. VIII relies on.
 
         ``assume_sc_per_location`` skips the SC PER LOCATION axiom: the
-        pruning enumeration engine (:mod:`repro.herd.engine`) only emits
+        planned engine (:mod:`repro.herd.optimal`) only emits
         candidates it has already proven uniproc-consistent, so the
         check would always pass.
         """

@@ -203,7 +203,7 @@ def sweep_family(
     tests: Sequence[LitmusTest],
     model,
     processes=None,
-    engine: str = "auto",
+    engine: str = "optimal",
     context_cache=None,
     chunk_size: int = 8,
     pool=None,
@@ -277,9 +277,9 @@ def coherence_stress_family(
     observes the next thread's location; the ``exists`` clause asks for
     the co-final value everywhere.  The grid is ``(m!)^threads`` per
     path combination with exactly one uniproc-consistent execution — the
-    shape where the pruning engine's per-location order enumeration
-    pays maximally and the optimal engine's constructive walk pays
-    nothing.  Returned as a one-test family for sweep drivers.
+    shape where enumerating per-location orders pays maximally and the
+    optimal engine's constructive walk pays nothing.  Returned as a
+    one-test family for sweep drivers.
     """
     from repro.litmus.ast import TestBuilder
 

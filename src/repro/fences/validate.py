@@ -107,7 +107,7 @@ def validate_repair(
 ) -> Tuple[str, str]:
     """Verdicts (before, after) of the target outcome under the model.
 
-    Uses the simulator's verdict fast path (pruning enumeration, early
+    Uses the simulator's verdict fast path (planned engine, early
     exit on the target outcome): the escalation loop only ever needs
     Allow/Forbid, never the full outcome summary.  ``context_cache``
     optionally supplies a :class:`repro.campaign.ContextCache`, so

@@ -17,13 +17,14 @@ are valid; that part lives in :mod:`repro.herd.simulator`.
 
 This module is the *reference oracle*: it materializes every candidate
 by brute-force cross product.  The production engine lives in
-:mod:`repro.herd.engine`, which shares :class:`CombinationContext` (the
+:mod:`repro.herd.optimal`, which shares :class:`CombinationContext` (the
 per-combination event universe interned into a
 :class:`~repro.core.bitrel.EventIndex`, and the po/dependency/fence
 relations built once in the bitmask kernel and shared across all rf×co
-children) but prunes partial rf/co assignments instead of generating
-and rejecting.  The differential suite (``tests/test_differential.py``)
-holds the two engines to identical candidate sets and verdicts.
+children) but constructs only the SC-PER-LOCATION-consistent rf/co
+assignments instead of generating and rejecting.  The differential
+suite (``tests/test_differential.py``) holds the two engines to
+identical candidate sets and verdicts.
 """
 
 from __future__ import annotations

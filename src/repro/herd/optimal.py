@@ -1,14 +1,14 @@
-"""Optimal stateless exploration engine (GenMC-style; zero wasted walks).
+"""The planned execution engine: optimal stateless exploration (GenMC-style).
 
-The pruning engine (:mod:`repro.herd.engine`) still *enumerates* the
-rf×co candidate grid — it cuts doomed subtrees early, but a location
-with ``m`` same-thread writes makes it try all ``m!`` coherence
-permutations per surviving prefix just to keep one.  This engine never
-materializes the grid: following GenMC's optimal DPOR (Kokologiannakis
+The naive oracle in :mod:`repro.herd.enumerate` materializes the full
+cross product (all rf maps × all per-location coherence orders) and
+lets the model reject invalid candidates one by one.  Most rejections
+are SC-PER-LOCATION (uniproc) violations.  This engine never
+materializes that grid: following GenMC's optimal DPOR (Kokologiannakis
 & Vafeiadis), it *constructs* each SC-PER-LOCATION-consistent execution
 exactly once, extending an execution graph one event at a time and
-consulting the model's per-location acyclicity via the po-loc
-reachability rows shared with the pruning engine.
+consulting the model's per-location acyclicity via po-loc reachability
+rows.
 
 Two observations make the walk optimal in this setting (thread paths
 fixed, read values fixed by the combination):
@@ -33,36 +33,39 @@ fixed, read values fixed by the combination):
    give distinct executions; every consistent execution is reached.
 
 Executions-explored therefore equals consistent-executions by
-construction — the differential suite asserts it.  The only wasted work
-is *blocked* walks (a read whose every remaining rf source got buried
-by coherence), detected by per-read source-availability counts the
-moment a segment closes and surfaced as the ``engine.optimal.dead_ends``
-counter; they abort in O(1) steps instead of costing a subtree.
+construction — the differential suite asserts it against the naive
+oracle.  The only wasted work is *blocked* walks (a read whose every
+remaining rf source got buried by coherence), detected by per-read
+source-availability counts the moment a segment closes and surfaced as
+the ``engine.dead_ends`` counter; they abort in O(1) steps instead of
+costing a subtree.
 
-:class:`OptimalPlan` mirrors :class:`~repro.herd.engine.ComboPlan`'s
-interface (``total``, ``all_outcomes()``, ``leaves()`` yielding
-:class:`~repro.herd.engine.SurvivingLeaf`), so summaries stay
-byte-identical to the pruning and naive engines and the verdict fast
-path, session verbs, campaign sharding and context cache all work
-unchanged behind ``Simulator(engine="optimal")``.
+The candidates left out are *counted, not enumerated*: candidate totals
+and the observable-outcome universe are products over per-read source
+counts and per-location order counts, so full
+:class:`~repro.herd.simulator.SimulationResult` summaries stay exactly
+equal to the naive engine's.  Leaves satisfy SC PER LOCATION by
+construction, so model checks run with ``assume_sc_per_location=True``
+and only evaluate the remaining three axioms.
+
+:func:`surviving_candidates` is also the shared front door for the
+multi-event and operational simulators: a uniproc-violating candidate
+is forbidden by every engine of the Tab. IX comparison (the lifted
+sc-per-location check, and the machine's coWW/coWR/coRW/coRR premises,
+reject exactly the same cycles — Thm. 7.1), so verdict queries never
+need to visit the rest of the grid at all.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.core.bitrel import iter_bits, rows_inverse
 from repro.core.events import Event
-from repro.herd.engine import (
-    BasePlan,
-    Outcome,
-    SurvivingLeaf,
-    combination_matches_target,
-    sc_per_location_rows,
-)
 from repro.herd.enumerate import (
+    Candidate,
     CombinationContext,
     _thread_paths,
     combination_context,
@@ -70,9 +73,53 @@ from repro.herd.enumerate import (
 )
 from repro.litmus.ast import LitmusTest
 
+Outcome = Tuple[Tuple[str, int], ...]
+
+#: SC PER LOCATION variants the engine knows how to enforce.
+_VARIANTS = ("standard", "llh")
+
 #: One per-location solution: the rf source of each local read (aligned
 #: with the location's reads in event order) and the coherence order.
 LocationSolution = Tuple[Tuple[Event, ...], Tuple[Event, ...]]
+
+
+class SurvivingLeaf:
+    """One uniproc-consistent assignment; the candidate builds on demand."""
+
+    __slots__ = ("context", "assignment", "orders", "outcome")
+
+    def __init__(
+        self,
+        context: CombinationContext,
+        assignment: Tuple[Tuple[Event, Event], ...],
+        orders: Tuple[Tuple[Event, ...], ...],
+        outcome: Optional[Outcome],
+    ):
+        self.context = context
+        self.assignment = assignment
+        self.orders = orders
+        self.outcome = outcome
+
+    def candidate(self) -> Candidate:
+        return self.context.candidate(
+            self.context.rf_relation(self.assignment),
+            self.context.co_relation(self.orders),
+        )
+
+
+def sc_per_location_rows(context: CombinationContext, variant: str) -> List[int]:
+    """The po-loc successor rows the given SC PER LOCATION variant
+    constrains with (``llh`` lets read-read pairs leave po-loc)."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown SC PER LOCATION variant: {variant!r}")
+    po_loc = context.po.same_location()
+    if variant == "llh":
+        reads_mask = context.index.reads_mask
+        return [
+            row & ~reads_mask if reads_mask >> i & 1 else row
+            for i, row in enumerate(po_loc._rows)
+        ]
+    return list(po_loc._rows)
 
 
 class LocationWalk:
@@ -232,21 +279,26 @@ class LocationWalk:
 
         cur = self.init[-1] if self.init else None
         extend(0, cur, 0, -1)
+        # ``extend`` refers to itself through its closure: drop that
+        # cycle so the walk's state is freed now, by reference counting,
+        # not later by a pause of the cyclic collector.
+        del extend
         self.steps = steps
         self.revisits = revisits
         self.dead_ends = dead_ends
         return solutions
 
 
-class OptimalPlan(BasePlan):
-    """The optimal-exploration plan of one combination of per-thread paths.
+class OptimalPlan:
+    """The plan of one combination of per-thread paths.
 
-    ``total``/``all_outcomes()`` stay the combinatorial full-grid
-    answers of :class:`~repro.herd.engine.BasePlan` (summaries must be
-    byte-identical across engines); :meth:`leaves` yields exactly the
-    consistent executions, composed as a product of per-location
-    canonical walks.  The per-location solve runs once per plan and is
-    reused by later walks (the plan, like the context, is
+    A plan owns one :class:`CombinationContext`.  It answers the
+    *summary* questions — the full candidate-grid size ``total`` and
+    :meth:`all_outcomes` — combinatorially, so summaries stay
+    byte-identical to the naive oracle's, and :meth:`leaves` yields
+    exactly the consistent executions, composed as a product of
+    per-location canonical walks.  The per-location solve runs once per
+    plan and is reused by later walks (the plan, like the context, is
     model-independent).
     """
 
@@ -256,7 +308,12 @@ class OptimalPlan(BasePlan):
         test: Optional[LitmusTest] = None,
         variant: str = "standard",
     ):
-        super().__init__(context, test, variant)
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown SC PER LOCATION variant: {variant!r}")
+        self.context = context
+        self.test = test
+        self.variant = variant
+        self.total = context.total_candidates
         #: consistent executions yielded by the last `leaves()` walk.
         self.explored = 0
         #: solve-time statistics (accumulated over every location):
@@ -268,46 +325,130 @@ class OptimalPlan(BasePlan):
         self._solutions: Optional[List[List[LocationSolution]]] = None
         self._read_positions: Optional[List[List[int]]] = None
 
+    # -- outcome universe ---------------------------------------------------------
+
+    def _final_values(self) -> Dict[str, Set[int]]:
+        """Per location, the possible final (co-maximal) values."""
+        finals: Dict[str, Set[int]] = {}
+        for location, orders in zip(self.context.locations, self.context.co_orders):
+            finals[location] = {
+                order[-1].value if order[-1].value is not None else 0
+                for order in orders
+            }
+        return finals
+
+    def _register_part(self) -> List[Tuple[str, int]]:
+        """The register projection of the outcome (fixed per combination)."""
+        condition = self.test.condition if self.test is not None else None
+        if condition is None:
+            return []
+        registers = self.context.final_registers
+        return [
+            (f"{atom.thread}:{atom.name}", int(registers.get((atom.thread, atom.name), 0)))
+            for atom in condition.atoms
+            if atom.kind == "reg"
+        ]
+
+    def _project(
+        self, register_part: List[Tuple[str, int]], memory: Dict[str, int]
+    ) -> Outcome:
+        """Project (registers, final memory) onto the condition — the
+        single source of the engine's outcome shape, byte-identical to
+        :meth:`repro.herd.enumerate.Candidate.outcome`."""
+        condition = self.test.condition if self.test is not None else None
+        if condition is None:
+            return tuple(sorted(set(memory.items())))
+        observed = register_part + [
+            (atom.name, memory.get(atom.name, 0))
+            for atom in condition.atoms
+            if atom.kind == "mem"
+        ]
+        return tuple(sorted(set(observed)))
+
+    def all_outcomes(self) -> Set[Outcome]:
+        """Outcomes of *every* candidate of this combination (incl. the
+        inconsistent ones the walk never builds).
+
+        The final registers are fixed by the thread paths and the final
+        memory of each location is the last write of its coherence
+        order, so the outcome universe is a product over per-location
+        final values — no enumeration needed.
+        """
+        if self.total == 0:
+            return set()
+        condition = self.test.condition if self.test is not None else None
+        register_part = self._register_part()
+        if condition is not None:
+            referenced = sorted(
+                {atom.name for atom in condition.atoms if atom.kind == "mem"}
+            )
+            if not referenced:
+                return {self._project(register_part, {})}
+        else:
+            referenced = sorted(self.context.locations)
+
+        finals = self._final_values()
+        choices = [sorted(finals.get(location, {0})) for location in referenced]
+        return {
+            self._project(register_part, dict(zip(referenced, values)))
+            for values in itertools.product(*choices)
+        }
+
+    def _leaf_outcome(
+        self, register_part: List[Tuple[str, int]], orders: Sequence[Sequence[Event]]
+    ) -> Outcome:
+        """Outcome of one consistent execution."""
+        condition = self.test.condition if self.test is not None else None
+        if condition is not None and not any(
+            atom.kind == "mem" for atom in condition.atoms
+        ):
+            return self._project(register_part, {})
+        memory = {
+            location: (order[-1].value if order[-1].value is not None else 0)
+            for location, order in zip(self.context.locations, orders)
+        }
+        return self._project(register_part, memory)
+
     # -- the per-location solve ---------------------------------------------------
 
     def _walks(self) -> List[LocationWalk]:
         context = self.context
-        index = context.index
-        ids = index.ids
+        ids = context.index.ids
         preds_global = rows_inverse(sc_per_location_rows(context, self.variant))
+        # One pass buckets the accesses by location, keeping event order:
+        # (init writes, other writes, positions of the reads).
+        buckets: Dict[str, Tuple[List[Event], List[Event], List[int]]] = {
+            location: ([], [], []) for location in context.locations
+        }
+        for write in context.writes:
+            init, writes, _ = buckets[write.location]
+            (init if write.is_init() else writes).append(write)
+        for position, read in enumerate(context.reads):
+            buckets[read.location][2].append(position)
         walks: List[LocationWalk] = []
-        for location in context.locations:
-            init = tuple(
-                w for w in context.writes if w.location == location and w.is_init()
-            )
-            writes = [
-                w
-                for w in context.writes
-                if w.location == location and not w.is_init()
-            ]
-            reads: List[Event] = []
-            read_positions: List[int] = []
-            sources: List[Tuple[Event, ...]] = []
-            for position, read in enumerate(context.reads):
-                if read.location != location:
-                    continue
-                reads.append(read)
-                read_positions.append(position)
-                sources.append(context.rf_sources[position])
-            local_of_global = {
-                ids[event]: local for local, event in enumerate(writes + reads)
-            }
+        for location, (init, writes, positions) in buckets.items():
+            reads = [context.reads[position] for position in positions]
+            local_ids = [ids[event] for event in writes + reads]
+            # po-loc only relates same-location events, so every
+            # predecessor of a local event is itself local.
             preds = []
-            for event in writes + reads:
+            for event_id in local_ids:
+                row = preds_global[event_id]
                 mask = 0
-                for g in iter_bits(preds_global[ids[event]]):
-                    local = local_of_global.get(g)
-                    if local is not None:
-                        mask |= 1 << local
+                if row:
+                    for local, other in enumerate(local_ids):
+                        if row >> other & 1:
+                            mask |= 1 << local
                 preds.append(mask)
             walks.append(
                 LocationWalk(
-                    location, init, writes, reads, read_positions, sources, preds
+                    location,
+                    tuple(init),
+                    writes,
+                    reads,
+                    positions,
+                    [context.rf_sources[position] for position in positions],
+                    preds,
                 )
             )
         return walks
@@ -328,25 +469,18 @@ class OptimalPlan(BasePlan):
             self.dead_ends = dead_ends
             self._solutions = solutions
             self._read_positions = positions
-            registry = _telemetry._ACTIVE
-            if registry is not None:
-                registry.count("engine.optimal.extension_steps", steps)
-                registry.count("engine.optimal.revisits", revisits)
-                registry.count("engine.optimal.dead_ends", dead_ends)
         return self._solutions
 
-    # -- the optimal walk ---------------------------------------------------------
+    # -- the walk -----------------------------------------------------------------
 
-    def leaves(self, with_outcomes: bool = True) -> Iterator["SurvivingLeaf"]:
+    def leaves(self, with_outcomes: bool = True) -> Iterator[SurvivingLeaf]:
         """Yield exactly the uniproc-consistent executions, one leaf each.
 
-        ``explored == survivors_count`` always: the walk constructs
-        consistent executions instead of filtering a grid, so there is
-        nothing to prune at walk time (``pruned`` reports the grid
-        complement, for summary parity with the other engines).
+        Candidates materialize lazily: verdict-only queries read the
+        (cheap) outcome first and only build the :class:`Execution` for
+        leaves that can actually witness the target.  After the walk,
+        ``explored`` holds the number of leaves yielded.
         """
-        self.pruned = 0
-        self.survivors_count = 0
         self.explored = 0
         context = self.context
         if context.reads and not context.feasible:
@@ -362,6 +496,8 @@ class OptimalPlan(BasePlan):
             and condition is not None
             and all(atom.kind == "reg" for atom in condition.atoms)
         ):
+            # Register-only condition: the outcome is fixed by the thread
+            # paths, identical for every rf/co child of this combination.
             constant_outcome = tuple(sorted(set(register_part)))
 
         reads = context.reads
@@ -388,13 +524,29 @@ class OptimalPlan(BasePlan):
                 explored += 1
                 yield SurvivingLeaf(context, assignment, tuple(orders), outcome)
         finally:
+            # Publish even when the consumer breaks out early (the
+            # verdict fast path closes the generator on first witness):
+            # closing raises GeneratorExit through the yield above.  The
+            # solve statistics are published per walk, cached solve or
+            # not, so the counters depend on the queries alone and
+            # sharded totals equal serial ones whatever each process
+            # had cached.
             self.explored = explored
-            self.survivors_count = explored
-            self.pruned = self.total - explored
             registry = _telemetry._ACTIVE
             if registry is not None:
-                registry.count("engine.optimal.walks")
-                registry.count("engine.optimal.explored", explored)
+                registry.count("engine.walks")
+                registry.count("engine.explored", explored)
+                registry.count("engine.extension_steps", self.extension_steps)
+                registry.count("engine.revisits", self.revisits)
+                registry.count("engine.dead_ends", self.dead_ends)
+
+    def survivors(
+        self, with_outcomes: bool = True
+    ) -> Iterator[Tuple[Candidate, Optional[Outcome]]]:
+        """The walk's ``(candidate, outcome)`` pairs (``outcome`` is None
+        when ``with_outcomes`` is False)."""
+        for leaf in self.leaves(with_outcomes=with_outcomes):
+            yield leaf.candidate(), leaf.outcome
 
 
 def plans(
@@ -407,6 +559,29 @@ def plans(
         yield OptimalPlan(context, test, variant)
 
 
+def combination_matches_target(combination, condition) -> bool:
+    """Can this choice of per-thread paths witness the register atoms?
+
+    The final registers are fixed by the thread paths alone, so register
+    atoms filter whole combinations *before* the event universe is
+    interned or any relation built.  Shared between :func:`target_plans`
+    and the campaign runtime's per-test context cache, so the two filter
+    identically.
+    """
+    for atom in condition.atoms:
+        if atom.kind != "reg":
+            continue
+        # Unknown threads/registers read as 0, exactly as in
+        # Candidate.outcome's final_registers.get(..., 0) default.
+        if atom.thread is None or not 0 <= atom.thread < len(combination):
+            value: object = 0
+        else:
+            value = combination[atom.thread].final_registers.get(atom.name, 0)
+        if int(value) != atom.value:
+            return False
+    return True
+
+
 def target_plans(
     test: LitmusTest,
     variant: str = "standard",
@@ -414,9 +589,11 @@ def target_plans(
 ) -> Iterator[OptimalPlan]:
     """Plans of the combinations that could witness the target outcome.
 
-    Filters with the same register-atom predicate as
-    :func:`repro.herd.engine.target_plans`, so the verdict fast path
-    behaves identically across engines.
+    Register atoms of the condition filter whole combinations before any
+    interning — for a register-only ``exists`` clause (the common litmus
+    shape) only the combinations that actually match the target are ever
+    constructed.  Memory atoms are left to the caller's outcome-universe
+    check.
     """
     condition = test.condition
     assert condition is not None, "target_plans needs a final condition"
@@ -427,3 +604,21 @@ def target_plans(
             continue
         context = combination_context(combination, locations, test.init_memory)
         yield OptimalPlan(context, test, variant)
+
+
+def surviving_candidates(
+    test: LitmusTest,
+    variant: str = "standard",
+    value_domain: Optional[Sequence[int]] = None,
+    with_outcomes: bool = True,
+) -> Iterator[Tuple[Candidate, Optional[Outcome]]]:
+    """Every uniproc-consistent candidate of *test*, with its outcome.
+
+    The candidates left out are exactly the ones the naive oracle
+    generates and every model then rejects through SC PER LOCATION (for
+    the given *variant*), so Allow/Forbid queries — under the axiomatic,
+    multi-event or operational engines alike — lose nothing by
+    iterating these only.
+    """
+    for plan in plans(test, variant, value_domain):
+        yield from plan.survivors(with_outcomes=with_outcomes)

@@ -17,19 +17,17 @@ The ``model`` argument accepts a :class:`~repro.core.model.Model`, a
 
 Two enumeration engines sit underneath (selected by ``engine=``):
 
-* ``"pruning"`` (the default where applicable) — the incremental engine
-  of :mod:`repro.herd.engine`: partial rf/co assignments that violate
-  SC PER LOCATION are cut as whole subtrees, whose candidate counts and
-  outcomes are reconstructed combinatorially, so the summary is
+* ``"optimal"`` (the default) — the planned engine of
+  :mod:`repro.herd.optimal`: it constructs each SC-PER-LOCATION-consistent
+  execution exactly once instead of enumerating the rf×co grid, and
+  counts the rest of the grid combinatorially, so the summary is
   *identical* to the naive engine's;
-* ``"optimal"`` — the GenMC-style optimal explorer of
-  :mod:`repro.herd.optimal`: constructs each consistent execution
-  exactly once (explored == survivors, zero grid waste) instead of
-  enumerating and cutting the rf×co grid; summaries stay identical;
 * ``"naive"`` — the brute-force reference oracle of
   :mod:`repro.herd.enumerate`, kept for differential testing and for
-  queries the plan-based engines do not serve (``keep_candidates``,
-  duck-typed models whose axiom set is unknown).
+  queries the planned engine does not serve (``keep_candidates``,
+  duck-typed and cat models whose axiom set is unknown).
+
+``"auto"`` and ``"pruning"`` are deprecated aliases of ``"optimal"``.
 
 ``run(..., until="target")`` is the verdict-only fast path: enumeration
 stops the moment the target outcome is proven reachable, and model
@@ -41,23 +39,24 @@ escalation loop and the campaign drivers use it via :meth:`Simulator.verdict`.
 ``run(..., context=...)`` accepts a prebuilt per-test simulation
 context (:class:`repro.campaign.context.SimulationContext`): the
 expensive front half of the pipeline — thread-path enumeration, event
-interning, the fixed relations and the rf×co plan skeletons — is then
-reused instead of rebuilt.  The context is model-independent, so one
-context serves verdict queries under any number of models.  For
-process-level fan-out the campaign runtime ships picklable job specs
-(the litmus test plus a model *name*) and re-hydrates both the model
-and the context inside the worker; see :mod:`repro.campaign`.
+interning, the fixed relations and the plans with their solved
+per-location walks — is then reused instead of rebuilt.  The context is
+model-independent, so one context serves verdict queries under any
+number of models.  For process-level fan-out the campaign runtime ships
+picklable job specs (the litmus test plus a model *name*) and
+re-hydrates both the model and the context inside the worker; see
+:mod:`repro.campaign`.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple, Union
 
 from repro import telemetry as _telemetry
 from repro.core.architectures import get_architecture
 from repro.core.model import Architecture, CheckResult, Model
-from repro.herd import engine as _engine
 from repro.herd import optimal as _optimal
 from repro.herd.enumerate import Candidate, candidate_executions
 from repro.litmus.ast import LitmusTest
@@ -67,18 +66,16 @@ from repro.report import JsonReportMixin, outcome_key
 Outcome = Tuple[Tuple[str, int], ...]
 ModelLike = Union[str, Architecture, Model]
 
-ENGINES = ("auto", "pruning", "optimal", "naive")
+ENGINES = ("optimal", "naive")
 
-#: ``engine="auto"`` upgrades from pruning to the optimal engine once
-#: this many stores hit a single location across all threads.  The
-#: pruning engine's candidate space grows factorially in the per-
-#: location write count (every coherence order is enumerated before
-#: SC-PER-LOCATION cuts it), while the optimal engine constructs each
-#: consistent coherence order exactly once — the committed
-#: BENCH_optimal.json crossover puts optimal ahead from roughly this
-#: burst size and 5.9x ahead by six writes.  Below the threshold the
-#: pruning engine's lower per-execution constant wins (tiny grids such
-#: as the classic 2x2 cycles).
+#: Deprecated engine names, accepted for one release: both now run the
+#: planned (optimal) engine.
+ENGINE_ALIASES = {"auto": "optimal", "pruning": "optimal"}
+
+#: Same-location write bursts of at least this many stores mark the
+#: coherence-heavy inputs whose rf×co grid explodes.  Only the
+#: benchmark's description of its inputs reads it; no engine choice
+#: depends on it.
 AUTO_OPTIMAL_WRITE_BURST = 4
 
 
@@ -90,7 +87,7 @@ def write_burst(test: LitmusTest) -> int:
     ``init_registers`` bindings (``(thread, reg) -> location``) plus any
     in-thread ``MoveImmediate`` of a location name.  A store whose
     address register resolves to no location (computed addresses) makes
-    the scan conservative: 0, keeping ``auto`` on the pruning engine.
+    the scan conservative: 0.
     """
     stores_per_location: dict = {}
     for index, thread in enumerate(test.threads):
@@ -130,10 +127,6 @@ def resolve_model(model: ModelLike) -> Model:
     if hasattr(model, "check"):  # duck-typed (cat-interpreted models)
         return model  # type: ignore[return-value]
     raise TypeError(f"cannot interpret {model!r} as a model")
-
-
-#: Backward-compatible alias (pre-campaign-runtime name).
-_as_model = resolve_model
 
 
 @dataclass
@@ -196,17 +189,22 @@ class SimulationResult(JsonReportMixin):
 class Simulator:
     """A reusable simulator bound to one model.
 
-    ``engine`` selects the enumeration strategy: ``"pruning"`` (subtree
-    cuts on SC PER LOCATION violations), ``"optimal"`` (GenMC-style
-    construction of each consistent execution exactly once),
-    ``"naive"`` (the reference cross product) or ``"auto"`` (pruning
-    whenever the query and the model allow it, upgraded to optimal for
-    coherence-heavy tests — see :func:`write_burst`).  ``"optimal"``
-    and ``"pruning"`` fall back to ``"naive"`` for queries only the
-    oracle serves (``keep_candidates``, duck-typed models).
+    ``engine`` selects the enumeration strategy: ``"optimal"`` (the
+    planned engine, constructing each consistent execution exactly
+    once) or ``"naive"`` (the reference cross product).  ``"optimal"``
+    falls back to ``"naive"`` for queries only the oracle serves
+    (``keep_candidates``, duck-typed and cat models).  The deprecated
+    names ``"auto"`` and ``"pruning"`` mean ``"optimal"``.
     """
 
-    def __init__(self, model: ModelLike, engine: str = "auto"):
+    def __init__(self, model: ModelLike, engine: str = "optimal"):
+        if engine in ENGINE_ALIASES:
+            warnings.warn(
+                f"engine={engine!r} is a deprecated alias of 'optimal'",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            engine = ENGINE_ALIASES[engine]
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
         self.model = resolve_model(model)
@@ -216,12 +214,12 @@ class Simulator:
     def model_name(self) -> str:
         return getattr(self.model, "name", str(self.model))
 
-    def _pruning_variant(self) -> Optional[str]:
-        """The SC PER LOCATION variant to prune with, or None if the
-        model's axiom set is unknown (duck-typed models)."""
+    def _planned_variant(self) -> Optional[str]:
+        """The SC PER LOCATION variant the planned engine enforces, or
+        None if the model's axiom set is unknown (duck-typed models)."""
         architecture = getattr(self.model, "architecture", None)
         variant = getattr(architecture, "sc_per_location_variant", None)
-        if isinstance(self.model, Model) and variant in _engine._VARIANTS:
+        if isinstance(self.model, Model) and variant in _optimal._VARIANTS:
             return variant
         return None
 
@@ -235,31 +233,19 @@ class Simulator:
     ) -> SimulationResult:
         """Simulate *test*; ``context`` optionally supplies the memoized
         front half (a :class:`repro.campaign.context.SimulationContext`
-        for this very test).  The context only accelerates the pruning
+        for this very test).  The context only accelerates the planned
         engine; naive and ``keep_candidates`` queries ignore it."""
         if until not in (None, "target"):
             raise ValueError(f"unknown until mode {until!r}")
-        variant = self._pruning_variant()
-        planned = not keep_candidates and variant is not None
-        if planned and self.engine == "optimal":
-            engine_name = "optimal"
-        elif planned and self.engine == "auto":
-            # Route coherence-heavy shapes (same-location write bursts)
-            # to the optimal engine; keep pruning on tiny grids, where
-            # its lower constant wins (see AUTO_OPTIMAL_WRITE_BURST).
-            engine_name = (
-                "optimal"
-                if write_burst(test) >= AUTO_OPTIMAL_WRITE_BURST
-                else "pruning"
-            )
-        elif planned and self.engine == "pruning":
-            engine_name = "pruning"
-        else:
-            engine_name = "naive"
+        variant = self._planned_variant()
+        planned = (
+            self.engine == "optimal" and not keep_candidates and variant is not None
+        )
+        engine_name = "optimal" if planned else "naive"
         registry = _telemetry._ACTIVE
         if registry is None:
-            if engine_name != "naive":
-                return self._run_planned(test, variant, until, context, engine_name)
+            if planned:
+                return self._run_planned(test, variant, until, context)
             return self._run_naive(
                 test, keep_candidates, stop_at_first_violation, until
             )
@@ -272,8 +258,8 @@ class Simulator:
             engine=engine_name,
             mode="verdict" if until == "target" else "full",
         ):
-            if engine_name != "naive":
-                result = self._run_planned(test, variant, until, context, engine_name)
+            if planned:
+                result = self._run_planned(test, variant, until, context)
             else:
                 result = self._run_naive(
                     test, keep_candidates, stop_at_first_violation, until
@@ -287,7 +273,7 @@ class Simulator:
         """Allow/Forbid for the target outcome (early-exit fast path)."""
         return self.run(test, until="target", context=context).verdict
 
-    # -- planned engines (pruning / optimal) --------------------------------------
+    # -- planned engine -----------------------------------------------------------
 
     def _run_planned(
         self,
@@ -295,12 +281,10 @@ class Simulator:
         variant: str,
         until: Optional[str],
         context=None,
-        kind: str = "pruning",
     ) -> SimulationResult:
-        """Shared driver of the plan-based engines: both yield only
-        uniproc-consistent leaves with full-grid summary counts, so the
-        per-leaf model checks (``assume_sc_per_location=True``) and the
-        verdict fast path are engine-independent."""
+        """The planned engine's driver: plans yield only
+        uniproc-consistent leaves with full-grid summary counts, so each
+        leaf is checked with ``assume_sc_per_location=True``."""
         check = self.model.check
         allowed_outcomes: set = set()
         all_outcomes: set = set()
@@ -311,16 +295,15 @@ class Simulator:
 
         if context is not None:
             plan_source = (
-                context.target_plans(variant, engine=kind)
+                context.target_plans(variant)
                 if verdict_only
-                else context.plans(variant, engine=kind)
+                else context.plans(variant)
             )
         else:
-            module = _optimal if kind == "optimal" else _engine
             plan_source = (
-                module.target_plans(test, variant)
+                _optimal.target_plans(test, variant)
                 if verdict_only
-                else module.plans(test, variant)
+                else _optimal.plans(test, variant)
             )
         plans_walked = 0
         plans_skipped = 0
@@ -491,7 +474,7 @@ def simulate(
     keep_candidates: bool = False,
     stop_at_first_violation: bool = True,
     until: Optional[str] = None,
-    engine: str = "auto",
+    engine: str = "optimal",
 ) -> SimulationResult:
     """Simulate *test* under *model* (convenience wrapper around Simulator)."""
     return Simulator(model, engine=engine).run(

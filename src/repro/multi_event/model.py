@@ -32,7 +32,7 @@ from repro.core.events import Event
 from repro.core.execution import Execution
 from repro.core.model import Architecture, CheckResult
 from repro.core.relation import Relation
-from repro.herd.engine import surviving_candidates
+from repro.herd.optimal import surviving_candidates
 from repro.litmus.ast import LitmusTest
 
 
@@ -202,7 +202,7 @@ class MultiEventModel:
 
         ``assume_sc_per_location`` skips the lifted SC PER LOCATION
         cycle check: a cycle exists in the lifted relation iff one
-        exists in the original, so for candidates the pruning engine
+        exists in the original, so for candidates the planned engine
         already proved uniproc-consistent the check cannot fail.
         """
         arch = self.architecture
@@ -276,7 +276,7 @@ class MultiEventSimulator:
     def verdict(self, test: LitmusTest) -> str:
         assert test.condition is not None, "litmus tests carry a final condition"
         # Uniproc-violating candidates are forbidden by the lifted
-        # SC PER LOCATION check, so only the pruning engine's survivors
+        # SC PER LOCATION check, so only the planned engine's survivors
         # can contribute an Allow verdict — and for those the lifted
         # uniproc check is a proven no-op.
         for candidate, outcome in surviving_candidates(test):

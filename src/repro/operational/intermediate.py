@@ -280,7 +280,7 @@ class OperationalSimulator:
     enumerates candidate executions exactly like herd, but decides each
     one by searching for an accepting machine interleaving instead of
     checking the axioms.  Unlike the axiomatic engines it does *not*
-    ride the pruning enumerator: the tool it stands in for has no
+    ride the planned engine: the tool it stands in for has no
     axiomatic uniproc check to prune with — every candidate's
     interleavings are explored until the machine blocks (Thm. 7.1
     guarantees the blocked searches are exactly the candidates the

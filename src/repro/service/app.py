@@ -125,7 +125,7 @@ class VerdictService:
     * ``GET /healthz`` — liveness plus drain/breaker state.
 
     Verdicts memoize across requests: an admitted test whose
-    ``(fingerprint, model, engine)`` verdict is already cached answers
+    ``(fingerprint, model)`` verdict is already cached answers
     from the cache (``"mode": "cache"``) without ever enqueueing, and
     every ``ok`` verdict — including each half of a comparison pair —
     populates the cache for later requests.
@@ -306,7 +306,7 @@ class VerdictService:
     def _memo_key(self, test: LitmusTest, model: str):
         from repro.campaign.context import test_fingerprint
 
-        return (test_fingerprint(test), model, self.session.engine)
+        return (test_fingerprint(test), model)
 
     def _cached_outcome(
         self, kind: str, test: LitmusTest, model

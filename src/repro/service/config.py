@@ -30,8 +30,8 @@ class ServiceConfig:
     ``default_deadline``, and either is clamped to ``max_deadline``.
     Memoization: verdicts (never repairs — reports are strategy-bound)
     are cached across requests keyed by the test's structural
-    fingerprint, the model and the engine, in an LRU of
-    ``verdict_cache_size`` entries with an idle TTL of
+    fingerprint and the model (verdicts do not depend on the engine),
+    in an LRU of ``verdict_cache_size`` entries with an idle TTL of
     ``verdict_cache_ttl`` seconds; ``verdict_cache_size=0`` disables
     the cache.  Comparison: ``POST /compare`` sweeps a server-built
     corpus whose event bound is clamped to ``compare_max_events`` and

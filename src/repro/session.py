@@ -133,7 +133,7 @@ class Session:
     def __init__(
         self,
         model: ModelLike = "power",
-        engine: str = "auto",
+        engine: str = "optimal",
         strategy: str = "greedy",
         processes=None,
         cache_size: Optional[int] = 256,

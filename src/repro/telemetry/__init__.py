@@ -32,7 +32,7 @@ Usage::
 
     with Session(model="power", telemetry=True) as session:
         session.repair(tests)
-        print(session.stats()["telemetry"]["counters"]["engine.pruned_candidates"])
+        print(session.stats()["telemetry"]["counters"]["engine.explored"])
 
     # or standalone, without a session:
     from repro import telemetry

@@ -22,9 +22,9 @@ final condition's outcome reachable?), which is how the paper produced
 the per-litmus-test timings of Tab. X/XI.
 
 The axiomatic encodings (``"axiomatic"``, ``"multi-event"``) enumerate
-through the pruning engine (:mod:`repro.herd.engine`): SC-PER-LOCATION-
-violating assignments are cut as whole subtrees, candidates whose
-outcome cannot witness the query are never decided, and the search
+through the planned engine (:mod:`repro.herd.optimal`): only
+SC-PER-LOCATION-consistent assignments are ever constructed, candidates
+whose outcome cannot witness the query are never decided, and the search
 stops at the first counterexample — the solver-side pruning that makes
 the axiomatic encoding fast in the paper's Tab. X.  The
 ``"operational"`` instrumentation backend deliberately keeps the full
@@ -44,13 +44,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro import telemetry as _telemetry
 from repro.core.architectures import get_architecture
 from repro.core.model import Architecture, Model
-from repro.herd.engine import ComboPlan, plans
 from repro.herd.enumerate import (
     Candidate,
     candidate_executions,
     candidates_of_combination,
     combination_context,
 )
+from repro.herd.optimal import OptimalPlan, plans
 from repro.litmus.ast import LitmusTest
 from repro.multi_event import MultiEventModel
 from repro.operational import IntermediateMachine
@@ -122,7 +122,7 @@ class BoundedModelChecker:
         self.architecture = architecture
         if backend == "axiomatic":
             self._decider = Model(architecture)
-            # The pruning engine only emits uniproc-consistent candidates
+            # The planned engine only emits uniproc-consistent candidates
             # (for this architecture's variant), so the axiom check skips
             # SC PER LOCATION.
             self._prune_variant = (
@@ -193,7 +193,7 @@ class BoundedModelChecker:
                 program.shared_variables(),
                 program.shared,
             )
-            plan = ComboPlan(context, variant=self._prune_variant)
+            plan = OptimalPlan(context, variant=self._prune_variant)
             for leaf in plan.leaves(with_outcomes=False):
                 candidates_explored += 1
                 candidate = leaf.candidate()

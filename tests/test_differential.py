@@ -1,13 +1,14 @@
-"""Differential suite: pruning engine vs the naive reference oracle.
+"""Differential suite: the planned engine vs the naive reference oracle.
 
-The pruning engine (:mod:`repro.herd.engine`) must be observationally
+The planned engine (:mod:`repro.herd.optimal`) must be observationally
 identical to the brute-force enumerator (:mod:`repro.herd.enumerate`):
 
 * its surviving candidates are exactly the naive candidates that satisfy
-  SC PER LOCATION — same events, same rf, same co, same outcomes;
+  SC PER LOCATION — same events, same rf, same co, same outcomes —
+  under both SC PER LOCATION variants;
 * its combinatorial counting reproduces the naive candidate totals;
 * the simulator summaries (counts, outcome sets, verdicts) agree
-  between ``engine="pruning"`` and ``engine="naive"`` across models;
+  between ``engine="optimal"`` and ``engine="naive"`` across models;
 * the ``until="target"`` early-exit fast path proves the same verdicts.
 """
 
@@ -16,7 +17,7 @@ import pytest
 from repro.core import axioms
 from repro.core.architectures import get_architecture
 from repro.diy.families import two_thread_family
-from repro.herd import engine
+from repro.herd import optimal
 from repro.herd.enumerate import candidate_executions
 from repro.herd.simulator import Simulator
 from repro.litmus.registry import entries, get_test
@@ -66,7 +67,7 @@ def test_survivors_are_exactly_the_uniproc_consistent_candidates(test):
     total = 0
     surviving_engine = set()
     outcomes_engine = set()
-    for plan in engine.plans(test):
+    for plan in optimal.plans(test):
         total += plan.total
         walked = 0
         for candidate, outcome in plan.survivors():
@@ -76,8 +77,7 @@ def test_survivors_are_exactly_the_uniproc_consistent_candidates(test):
             assert outcome == candidate.outcome(test)
             surviving_engine.add(key)
             outcomes_engine.add(outcome)
-        # The subtree counting must account for every pruned candidate.
-        assert walked + plan.pruned == plan.total
+        assert walked == plan.explored
 
     assert total == len(naive)
     assert surviving_engine == surviving_naive
@@ -98,7 +98,7 @@ def test_llh_variant_prunes_exactly_the_llh_violations(test):
     }
     surviving_engine = {
         _candidate_key(candidate, test)
-        for plan in engine.plans(test, variant="llh")
+        for plan in optimal.plans(test, variant="llh")
         for candidate, _ in plan.survivors()
     }
     assert surviving_engine == surviving_naive
@@ -107,14 +107,14 @@ def test_llh_variant_prunes_exactly_the_llh_violations(test):
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("test", _registry_tests() + _family_tests(), ids=lambda t: t.name)
 def test_simulation_summaries_agree_between_engines(test, model):
-    pruning = Simulator(model, engine="pruning").run(test)
+    planned = Simulator(model, engine="optimal").run(test)
     naive = Simulator(model, engine="naive").run(test)
-    assert pruning.num_candidates == naive.num_candidates
-    assert pruning.num_allowed == naive.num_allowed
-    assert pruning.allowed_outcomes == naive.allowed_outcomes
-    assert pruning.all_outcomes == naive.all_outcomes
-    assert pruning.verdict == naive.verdict
-    assert pruning.condition_holds == naive.condition_holds
+    assert planned.num_candidates == naive.num_candidates
+    assert planned.num_allowed == naive.num_allowed
+    assert planned.allowed_outcomes == naive.allowed_outcomes
+    assert planned.all_outcomes == naive.all_outcomes
+    assert planned.verdict == naive.verdict
+    assert planned.condition_holds == naive.condition_holds
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -283,3 +283,17 @@ def test_cli_filter_mode_lists_separators():
 def test_cli_usage_errors_exit_2():
     assert _run_cli("tso").returncode == 2
     assert _run_cli("tso", "power", "--violates", "sc").returncode == 2
+
+
+def test_cli_unknown_engine_is_a_usage_error():
+    done = _run_cli("tso", "power", "--engine", "bogus")
+    assert done.returncode == 2
+    assert "invalid choice: 'bogus'" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_out_of_range_budget_is_a_usage_error():
+    done = _run_cli("tso", "power", "--events", "3")
+    assert done.returncode == 2
+    assert "max_events must be at least 4" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -1,44 +1,49 @@
-"""Differential suite: the optimal exploration engine vs pruning vs naive.
+"""The planned (optimal exploration) engine over the whole registry.
 
-The optimal engine (:mod:`repro.herd.optimal`) must be observationally
-identical to both existing engines while *constructing* each consistent
+The planned engine (:mod:`repro.herd.optimal`) must be observationally
+identical to the naive oracle while *constructing* each consistent
 execution exactly once:
 
-* its leaves are exactly the pruning engine's surviving leaves — same
-  events, same rf, same co, same outcomes — over the full registry and
-  diy families, under both SC PER LOCATION variants;
+* its leaves are exactly the naive candidates that survive the
+  SC PER LOCATION cut — same events, same rf, same co, same outcomes —
+  over the full registry and diy families, under both SC PER LOCATION
+  variants, each constructed once;
 * executions-explored == surviving-leaf count (the optimality claim:
   the walk never builds an execution it then discards);
 * simulator summaries (counts, outcome sets, verdicts) agree across
-  ``engine="optimal"``, ``"pruning"`` and ``"naive"`` for every model;
+  ``engine="optimal"``, its deprecated alias ``"pruning"`` and
+  ``"naive"`` for every model;
 * the ``until="target"`` fast path, the campaign context cache, the
   session verbs and sharded sweeps all serve ``engine="optimal"``
   unchanged;
-* under telemetry, the ``engine.optimal.*`` counters are published and
+* under telemetry, the ``engine.*`` counters are published and
   internally consistent (revisits/dead ends bounded by extension steps,
   explored equal to the plan totals).
 """
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import telemetry
 from repro.campaign.context import ContextCache, SimulationContext
+from repro.core import axioms
 from repro.diy.families import (
     coherence_stress_family,
     extended_family,
     sweep_family,
     two_thread_family,
 )
-from repro.herd import engine as pruning_engine
 from repro.herd import optimal as optimal_engine
-from repro.herd.simulator import ENGINES, Simulator
+from repro.herd.enumerate import candidate_executions, count_candidates
+from repro.herd.simulator import ENGINE_ALIASES, ENGINES, Simulator
 from repro.litmus.registry import entries, get_test
 
 MODELS = ("sc", "tso", "power", "arm")
 
-#: Small sample for the (expensive) three-way naive comparison.
+#: Sample for the three-way summary comparison.
 SUMMARY_SAMPLE = (
     "mp", "mp+lwsync+addr", "sb", "sb+syncs", "lb", "lb+addrs", "r", "s",
     "2+2w", "wrc", "wrc+addrs", "rwc", "iriw", "iriw+syncs", "isa2",
@@ -88,25 +93,31 @@ def _no_leaked_registry():
     "test", _registry_tests() + _family_tests(), ids=lambda t: t.name
 )
 def test_optimal_explores_exactly_the_pruning_survivors(test, variant):
-    pruning_keys = {
-        _leaf_key(leaf)
-        for plan in pruning_engine.plans(test, variant)
-        for leaf in plan.leaves()
+    """The survivors of the SC PER LOCATION cut, taken from the naive
+    oracle's full grid, are exactly the executions the walk builds."""
+    pruning_survivors = {
+        (
+            candidate.execution.events,
+            candidate.execution.rf.pairs,
+            candidate.execution.co.pairs,
+            candidate.outcome(test),
+        )
+        for candidate in candidate_executions(test)
+        if axioms.check_sc_per_location(candidate.execution, variant) is None
     }
-    optimal_keys = set()
+    optimal_keys = []
     for plan in optimal_engine.plans(test, variant):
         walked = 0
         for leaf in plan.leaves():
             walked += 1
-            optimal_keys.add(_leaf_key(leaf))
-        # Optimality: every constructed execution is a survivor, and the
-        # grid complement is accounted for combinatorially.
-        assert plan.explored == plan.survivors_count == walked
-        assert walked + plan.pruned == plan.total
-    assert optimal_keys == pruning_keys
+            optimal_keys.append(_leaf_key(leaf))
+        assert plan.explored == walked
+    # Optimality: each survivor is constructed exactly once.
+    assert len(optimal_keys) == len(set(optimal_keys))
+    assert set(optimal_keys) == pruning_survivors
 
 
-# -- summary identity across all three engines --------------------------------------
+# -- summary identity across every engine name -------------------------------------
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -114,8 +125,10 @@ def test_optimal_explores_exactly_the_pruning_survivors(test, variant):
     "test", _sample_tests() + _family_tests()[:6], ids=lambda t: t.name
 )
 def test_summaries_agree_across_all_three_engines(test, model):
+    """``optimal``, its deprecated alias ``pruning`` and ``naive``."""
     optimal = Simulator(model, engine="optimal").run(test)
-    pruning = Simulator(model, engine="pruning").run(test)
+    with pytest.warns(DeprecationWarning):
+        pruning = Simulator(model, engine="pruning").run(test)
     naive = Simulator(model, engine="naive").run(test)
     for other in (pruning, naive):
         assert optimal.num_candidates == other.num_candidates
@@ -128,10 +141,15 @@ def test_summaries_agree_across_all_three_engines(test, model):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_full_registry_verdicts_agree_with_pruning(model):
+    """Fast-path verdicts of ``optimal`` and its ``pruning`` alias equal
+    the naive oracle's full-run verdicts over the whole registry."""
     optimal = Simulator(model, engine="optimal")
-    pruning = Simulator(model, engine="pruning")
+    with pytest.warns(DeprecationWarning):
+        pruning = Simulator(model, engine="pruning")
+    naive = Simulator(model, engine="naive")
     for test in _registry_tests():
-        assert optimal.verdict(test) == pruning.verdict(test), test.name
+        expected = naive.run(test).verdict
+        assert optimal.verdict(test) == pruning.verdict(test) == expected, test.name
 
 
 # -- fast path, context cache, session and campaign integration ---------------------
@@ -148,25 +166,22 @@ def test_verdict_fast_path_and_context_agree(test, model):
     )
     assert fast.verdict == full
     # The cached plans are reused across models and queries.
+    plans = list(context.plans("standard"))
     again = Simulator(model, engine="optimal").run(test, context=context)
     assert again.verdict == full
-
-
-def test_context_caches_optimal_and_pruning_plans_separately():
-    test = get_test("sb")
-    context = SimulationContext(test)
-    optimal_plans = list(context.plans("standard", engine="optimal"))
-    pruning_plans = list(context.plans("standard", engine="pruning"))
-    assert all(isinstance(p, optimal_engine.OptimalPlan) for p in optimal_plans)
-    assert all(isinstance(p, pruning_engine.ComboPlan) for p in pruning_plans)
-    # Same keys hit the same plan objects on re-query.
-    assert list(context.plans("standard", engine="optimal")) == optimal_plans
+    assert list(context.plans("standard")) == plans
 
 
 def test_engine_registry_exposes_optimal():
-    assert "optimal" in ENGINES
-    with pytest.raises(ValueError):
-        Simulator("sc", engine="optimally")
+    assert ENGINES == ("optimal", "naive")
+    assert Simulator("sc").engine == "optimal"
+    for alias in ("auto", "pruning"):
+        assert ENGINE_ALIASES[alias] == "optimal"
+        with pytest.warns(DeprecationWarning):
+            assert Simulator("sc", engine=alias).engine == "optimal"
+    for unknown in ("optimally", "bogus"):
+        with pytest.raises(ValueError):
+            Simulator("sc", engine=unknown)
 
 
 def test_optimal_falls_back_to_naive_for_oracle_queries():
@@ -184,7 +199,7 @@ def test_session_and_sharded_sweep_serve_the_optimal_engine():
     with Session(model="power", engine="optimal") as session:
         verdicts = dict(session.sweep(tests).verdicts)
     baseline = {
-        test.name: Simulator("power", engine="pruning").verdict(test)
+        test.name: Simulator("power", engine="naive").run(test).verdict
         for test in tests
     }
     assert verdicts == baseline
@@ -212,7 +227,7 @@ def test_zero_waste_on_the_exploding_grid():
         grid += plan.total
         explored += plan.explored
         steps += plan.extension_steps
-    assert grid == sum(p.total for p in pruning_engine.plans(test, "standard"))
+    assert grid == count_candidates(test)
     assert explored < grid / 1000, "the grid must dwarf the explored set"
     assert steps < grid / 100, "extension steps must not scale with the grid"
 
@@ -224,17 +239,17 @@ def test_optimal_counters_under_telemetry():
     snapshot = metrics.snapshot()
     counters = snapshot.counters
     assert counters["herd.runs.optimal"] == 1
-    assert counters["engine.optimal.walks"] >= 1
-    explored = counters["engine.optimal.explored"]
+    assert counters["engine.walks"] >= 1
+    explored = counters["engine.explored"]
     total_survivors = 0
     for plan in optimal_engine.plans(test, "standard"):
         total_survivors += sum(1 for _ in plan.leaves())
     assert explored == total_survivors
-    assert counters["engine.optimal.extension_steps"] >= explored
+    assert counters["engine.extension_steps"] >= explored
     # Every revisit accompanies one read-placement extension step.
-    revisits = counters.get("engine.optimal.revisits", 0)
-    assert 0 <= revisits <= counters["engine.optimal.extension_steps"]
-    assert counters.get("engine.optimal.dead_ends", 0) >= 0
+    revisits = counters.get("engine.revisits", 0)
+    assert 0 <= revisits <= counters["engine.extension_steps"]
+    assert counters.get("engine.dead_ends", 0) >= 0
     # The span records the engine that actually ran.
     spans = [span for span in snapshot.spans if span["name"] == "herd.run"]
     assert spans and spans[-1]["tags"]["engine"] == "optimal"
@@ -268,35 +283,25 @@ def test_revisits_are_counted_when_reads_defer_to_newer_writes():
     assert revisits == 1
 
 
-# -- the auto-engine heuristic ------------------------------------------------------
+def test_queries_leave_no_reference_cycles():
+    """Full runs and verdicts free their walk state by reference
+    counting, so the cyclic collector finds nothing to reclaim and its
+    pauses do not land on later queries."""
+    simulator = Simulator("power")
+    tests = [get_test(name) for name in ("mp", "sb", "iriw", "2+2w", "wrc")]
+    tests += coherence_stress_family("power", threads=2, writes_per_location=3)
+    gc.collect()
+    gc.disable()
+    try:
+        for test in tests:
+            simulator.run(test)
+            simulator.verdict(test)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
-def test_auto_routes_coherence_bursts_to_optimal():
-    """``engine="auto"`` keeps the pruning engine on tiny grids and
-    upgrades to optimal once a same-location write burst crosses the
-    committed benchmark crossover — observable per-run through the
-    ``herd.runs.*`` counters."""
-    from repro.herd.simulator import AUTO_OPTIMAL_WRITE_BURST, write_burst
-
-    small = get_test("sb")
-    [stress] = coherence_stress_family("power", threads=2, writes_per_location=5)
-    assert write_burst(small) < AUTO_OPTIMAL_WRITE_BURST
-    assert write_burst(stress) >= AUTO_OPTIMAL_WRITE_BURST
-
-    metrics = telemetry.enable()
-    simulator = Simulator("power", engine="auto")
-    verdict_small = simulator.verdict(small)
-    verdict_stress = simulator.verdict(stress)
-    counters = metrics.snapshot().counters
-    telemetry.disable()
-    assert counters["herd.runs.pruning"] == 1
-    assert counters["herd.runs.optimal"] == 1
-
-    # Parity: the routing choice never changes the answer.
-    for engine in ("pruning", "optimal"):
-        assert Simulator("power", engine=engine).verdict(small) == verdict_small
-        assert Simulator("power", engine=engine).verdict(stress) == verdict_stress
-    assert Simulator("power", engine="naive").verdict(small) == verdict_small
+# -- write bursts: the benchmark's description of coherence-heavy inputs ----------
 
 
 def test_write_burst_is_conservative_on_unresolvable_addresses():
