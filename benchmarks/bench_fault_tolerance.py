@@ -3,9 +3,10 @@
 Not a paper table: this benchmark gates the supervised execution layer
 (:mod:`repro.campaign.supervisor`) added on top of the campaign runner.
 
-* ``test_supervised_healthy_overhead`` — the same CPU-bound batch run on
-  a bare ``CampaignPool`` (plain ``multiprocessing.Pool`` dispatch) and
-  on the same pool under a ``SupervisorPolicy``.  Supervision buys chunk
+* ``test_supervised_healthy_overhead`` — the same CPU-bound chunks run
+  on a plain ``multiprocessing.Pool(2).starmap`` (the unsupervised
+  reference: every ``CampaignPool`` batch is supervised) and on a
+  ``CampaignPool`` under a ``SupervisorPolicy``.  Supervision buys chunk
   deadlines, retry, respawn and quarantine; on a healthy batch it must
   cost close to nothing — the recorded ``overhead`` ratio is the number
   the committed baseline tracks.
@@ -17,10 +18,11 @@ Not a paper table: this benchmark gates the supervised execution layer
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 from benchmarks.conftest import run_once
-from repro.campaign import CampaignPool, SupervisorPolicy
+from repro.campaign import CampaignPool, SupervisorPolicy, chunked
 from repro.campaign.faults import FaultSpec, busy_chunk
 
 JOBS = list(range(64))
@@ -29,10 +31,15 @@ CHUNK_SIZE = 4
 
 
 def _healthy_overhead_stats():
-    with CampaignPool(2) as bare:
-        bare.run(busy_chunk, JOBS, payload=SPINS, chunk_size=CHUNK_SIZE)  # warm-up
+    shards = [(chunk, SPINS) for chunk in chunked(JOBS, CHUNK_SIZE)]
+    with multiprocessing.Pool(2) as bare:
+        bare.starmap(busy_chunk, shards, chunksize=1)  # warm-up
         start = time.perf_counter()
-        plain = bare.run(busy_chunk, JOBS, payload=SPINS, chunk_size=CHUNK_SIZE)
+        plain = [
+            result
+            for chunk_results in bare.starmap(busy_chunk, shards, chunksize=1)
+            for result in chunk_results
+        ]
         bare_seconds = time.perf_counter() - start
 
     policy = SupervisorPolicy()

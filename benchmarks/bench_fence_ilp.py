@@ -33,12 +33,12 @@ def _run_comparison():
         + shared_gap_family()
     )
     # Deliberately serial: the solver memo lives in module state, and a
-    # sharded run would solve in worker processes while memo_stats()
+    # sharded run would solve in worker processes while cache_stats()
     # reads the parent's counters — serial keeps the recorded hit/miss
     # numbers truthful on any core count (and comparable cross-hardware).
     ilp.clear_memo()
     comparison = compare_placement_costs(tests, "power")
-    memo = ilp.memo_stats()
+    memo = ilp.cache_stats()
     return {
         "tests": comparison.num_tests,
         "greedy_total_cost": comparison.greedy_total,
@@ -48,8 +48,8 @@ def _run_comparison():
         "greedy_seconds": comparison.greedy_seconds,
         "ilp_seconds": comparison.ilp_seconds,
         "ilp_tests_per_second": comparison.num_tests / comparison.ilp_seconds,
-        "solver_memo_hits": memo["hits"],
-        "solver_memo_misses": memo["misses"],
+        "solver_memo_hits": memo.hits,
+        "solver_memo_misses": memo.misses,
     }
 
 

@@ -51,8 +51,8 @@ class UnpicklableFault(RuntimeError):
     """An injected exception that can never cross a process boundary.
 
     Carries a closure, so ``pickle`` refuses the instance — exactly the
-    shape that kills a bare ``multiprocessing.Pool``'s result machinery
-    and that the supervisor's error envelopes must flatten to strings.
+    shape that kills a bare process pool's result machinery and that
+    the supervisor's error envelopes must flatten to strings.
     """
 
     def __init__(self, label: str):

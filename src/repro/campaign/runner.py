@@ -17,27 +17,28 @@ preserved.  This module is the one fan-out layer they all share:
 * results come back in submission order, so sharded campaigns report
   exactly what the serial path reports;
 * the **serial fallback** (``processes`` of ``None``/``0``/``1``, a
-  single-core machine under ``"auto"``, or a single job) runs the very
-  same worker over the very same chunks in-process, so its results are
-  byte-identical to the sharded path by construction;
-* an optional :class:`~repro.campaign.supervisor.SupervisorPolicy`
-  routes the batch through the **supervised** execution layer
-  (:mod:`repro.campaign.supervisor`): per-chunk deadlines, bounded
+  single-core machine under ``"auto"``, or a single chunk without a
+  warm pool) runs the very same worker over the very same chunks
+  in-process, so its results are byte-identical to the sharded path by
+  construction;
+* every batch runs on the **supervised** execution layer
+  (:mod:`repro.campaign.supervisor`) under a
+  :class:`~repro.campaign.supervisor.SupervisorPolicy` — the caller's,
+  the pool's, or :data:`DEFAULT_POLICY`: per-chunk deadlines, bounded
   retry with backoff, worker-death detection with automatic respawn,
-  and poison-item bisection with quarantine — the batch then completes
-  with ``errors=`` populated instead of wedging or raising.
+  and poison-item bisection.
 
 ``CampaignPool`` keeps one pool alive across several batches: worker
 processes then retain their warm state (per-process simulators and
 context caches) between calls, which is what escalation-style loops
 want.  Pools shut down gracefully — ``close()``/``__exit__`` ask the
-workers to drain and only ``terminate()`` after a grace period — so
-worker caches flush and in-flight telemetry snapshots are not lost.
+workers to drain and only ``terminate()`` after the policy's grace
+period — so worker caches flush and in-flight telemetry snapshots are
+not lost.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -51,9 +52,7 @@ from repro.campaign.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
     guarded_call,
-    is_pickling_error,
     item_label,
-    warn_unpicklable,
 )
 from repro.telemetry.metrics import Metrics
 
@@ -61,8 +60,11 @@ from repro.telemetry.metrics import Metrics
 #: costs, large enough to amortize pickling and scheduling.
 DEFAULT_CHUNK_SIZE = 8
 
-#: Default shutdown grace period (seconds) before terminate() escalation.
-DEFAULT_GRACE = 5.0
+#: The policy of a batch that names none: no deadline and no retry,
+#: so a healthy batch runs exactly as on a bare process pool, but a
+#: chunk whose worker crashes or raises is bisected down to its item
+#: and the batch raises :class:`PoisonItemError` instead of hanging.
+DEFAULT_POLICY = SupervisorPolicy(on_error="raise", max_retries=0)
 
 Processes = Union[None, int, str]
 
@@ -193,7 +195,7 @@ def _run_supervised(
     chunks: Sequence[List[Any]],
     policy: SupervisorPolicy,
     *,
-    processes: Processes,
+    workers: int,
     pool: Optional["CampaignPool"],
     phase: str,
 ) -> Tuple[List[Tuple[int, int, Any]], List[FailedItem]]:
@@ -206,14 +208,13 @@ def _run_supervised(
     ``on_error="raise"``).
     """
     counters = pool.counters if pool is not None else _supervisor.new_counters()
-    effective = pool.workers if pool is not None else worker_count(processes)
 
     # A single chunk only stays in-process when there is no warm pool:
     # spawning workers for one chunk buys nothing, but with a pool
     # already up, real workers are what make a chunk *killable* — a
     # hang or crash in a single-chunk batch must still be contained
     # (the verdict service counts on this for one-test requests).
-    if effective <= 1 or (pool is None and len(chunks) <= 1):
+    if workers <= 1 or (pool is None and len(chunks) <= 1):
         successes, failures = _serial_supervised(
             run_worker, make_args, chunks, counters, policy
         )
@@ -222,7 +223,7 @@ def _run_supervised(
             run_worker, make_args, chunks, policy
         )
     else:
-        ephemeral = SupervisedPool(min(effective, len(chunks)), counters)
+        ephemeral = SupervisedPool(min(workers, len(chunks)), counters)
         try:
             successes, failures = ephemeral.run_tasks(
                 run_worker, make_args, chunks, policy
@@ -288,16 +289,19 @@ def run_sharded(
     caches this way).  ``pool`` reuses an open :class:`CampaignPool`
     instead of spinning a fresh one.
 
-    ``policy`` (or the pool's default policy) routes the batch through
-    the supervised layer: chunk deadlines, bounded retry, worker
-    respawn, and poison-item bisection.  Quarantined jobs are dropped
-    from the results — in submission order, so the surviving results
-    equal a clean serial run over the surviving jobs — and reported as
-    :class:`~repro.campaign.supervisor.FailedItem` records appended to
-    the caller's ``errors`` list.  Without a policy, failures propagate
-    exactly as the bare pool raised them.
+    Every batch runs on the supervised layer under ``policy`` (else
+    the pool's, else :data:`DEFAULT_POLICY`): chunk deadlines, bounded
+    retry, worker respawn, and poison-item bisection.  Quarantined jobs
+    are dropped from the results — in submission order, so the
+    surviving results equal a clean serial run over the surviving jobs
+    — and reported as :class:`~repro.campaign.supervisor.FailedItem`
+    records appended to the caller's ``errors`` list.  Without a
+    policy, a job whose worker raises or dies makes the batch raise
+    :class:`~repro.campaign.supervisor.PoisonItemError`, with one
+    ``FailedItem`` per failing job carrying the worker's exception
+    ``repr`` and traceback.
 
-    A payload that fails to pickle no longer surfaces as a raw
+    A payload that fails to pickle does not surface as a raw
     ``PicklingError`` from inside the pool machinery: the batch falls
     back to in-process serial execution with a
     :class:`~repro.campaign.supervisor.CampaignPicklingWarning` naming
@@ -315,8 +319,9 @@ def run_sharded(
     jobs = list(jobs)
     parent_registry = _telemetry._ACTIVE
     batch_t0 = time.perf_counter()
-    if policy is None and pool is not None:
-        policy = pool.policy
+    if policy is None:
+        policy = pool.policy if pool is not None else DEFAULT_POLICY
+    workers = pool.workers if pool is not None else worker_count(processes)
     chunks = chunked(jobs, chunk_size)
 
     if parent_registry is not None:
@@ -332,53 +337,23 @@ def run_sharded(
         def make_args(items: List[Any]) -> Tuple[Any, ...]:
             return (items, payload)
 
-    if policy is not None:
-        effective_workers = pool.workers if pool is not None else worker_count(processes)
-        successes, failed_items = _run_supervised(
-            run_worker,
-            make_args,
-            chunks,
-            policy,
-            processes=processes,
-            pool=pool,
-            phase=getattr(worker, "__name__", str(worker)),
-        )
-        if errors is not None:
-            errors.extend(failed_items)
-        per_chunk: Dict[int, List[Tuple[int, Any]]] = {}
-        for chunk_index, offset, outcome in successes:
-            per_chunk.setdefault(chunk_index, []).append((offset, outcome))
-        outcomes = [
-            outcome
-            for chunk_index in range(len(chunks))
-            for _, outcome in sorted(per_chunk.get(chunk_index, ()))
-        ]
-    else:
-        shards = [make_args(chunk) for chunk in chunks]
-        if pool is not None:
-            effective_workers = pool.workers
-            outcomes = pool._starmap(run_worker, shards)
-        else:
-            effective_workers = worker_count(processes)
-            # A single shard has no parallelism to win: run it in-process
-            # rather than paying for a one-worker pool.
-            if effective_workers <= 1 or len(shards) <= 1:
-                outcomes = [run_worker(*shard) for shard in shards]
-            else:
-                try:
-                    with multiprocessing.Pool(
-                        min(effective_workers, len(shards))
-                    ) as mp_pool:
-                        outcomes = mp_pool.starmap(run_worker, shards, chunksize=1)
-                except Exception as exc:
-                    if not is_pickling_error(exc):
-                        raise
-                    warn_unpicklable(shards, exc)
-                    outcomes = [run_worker(*shard) for shard in shards]
+    successes, failed_items = _run_supervised(
+        run_worker,
+        make_args,
+        chunks,
+        policy,
+        workers=workers,
+        pool=pool,
+        phase=getattr(worker, "__name__", str(worker)),
+    )
+    if errors is not None:
+        errors.extend(failed_items)
 
     results: List[Any] = []
     busy_seconds = 0.0
-    for outcome in outcomes:
+    # (chunk index, offset) is submission order, whatever order the
+    # slices completed in.
+    for _, _, outcome in sorted(successes, key=lambda success: success[:2]):
         if parent_registry is not None:
             outcome, snapshot = outcome
             busy_seconds += snapshot.histograms.get(
@@ -395,29 +370,13 @@ def run_sharded(
         batch_seconds = time.perf_counter() - batch_t0
         parent_registry.count("campaign.batches")
         parent_registry.observe("campaign.batch_seconds", batch_seconds)
-        workers_used = max(1, min(effective_workers, len(chunks)))
+        workers_used = max(1, min(workers, len(chunks)))
         if batch_seconds > 0:
             parent_registry.set_gauge(
                 "campaign.worker_utilization",
                 min(1.0, busy_seconds / (batch_seconds * workers_used)),
             )
     return results
-
-
-def _graceful_mp_close(mp_pool, grace: float) -> None:
-    """``close()`` + bounded ``join()``, falling back to ``terminate()``.
-
-    ``multiprocessing.Pool.join`` has no timeout, so the join runs in a
-    daemon thread and the pool is terminated only if the workers have
-    not drained within *grace* seconds.
-    """
-    mp_pool.close()
-    joiner = threading.Thread(target=mp_pool.join, daemon=True)
-    joiner.start()
-    joiner.join(max(grace, 0.0))
-    if joiner.is_alive():
-        mp_pool.terminate()
-        joiner.join(1.0)
 
 
 class CampaignPool:
@@ -430,9 +389,10 @@ class CampaignPool:
     model comparisons want.  With an effective worker count of one the
     pool degrades to the serial fallback and spawns nothing.
 
-    ``policy`` (a :class:`~repro.campaign.supervisor.SupervisorPolicy`)
-    makes every batch on this pool supervised: chunk deadlines, bounded
-    retry, automatic respawn of dead workers, poison-item quarantine.
+    ``policy`` (a :class:`~repro.campaign.supervisor.SupervisorPolicy`,
+    default :data:`DEFAULT_POLICY`) is the default of every batch on
+    this pool: chunk deadlines, bounded retry, automatic respawn of
+    dead workers, poison-item quarantine or raise.
     ``counters`` accumulates the supervision events across batches (and
     across worker respawns) — the ``supervisor`` subtree of
     ``Session.stats()`` reads it.
@@ -450,9 +410,8 @@ class CampaignPool:
         policy: Optional[SupervisorPolicy] = None,
     ):
         self.workers = worker_count(processes)
-        self.policy = policy
+        self.policy = policy if policy is not None else DEFAULT_POLICY
         self.counters: Dict[str, float] = _supervisor.new_counters()
-        self._pool: Optional[multiprocessing.pool.Pool] = None
         self._supervised: Optional[SupervisedPool] = None
         self._close_lock = threading.Lock()
 
@@ -465,26 +424,21 @@ class CampaignPool:
     def close(self, grace: Optional[float] = None) -> None:
         """Drain and shut down the workers, gracefully then forcefully.
 
-        Workers get *grace* seconds (default: the policy's, else 5) to
-        finish their in-flight chunk and exit; stragglers are
-        terminated.  The supervision counters survive ``close`` — a
-        pool restarted by a later batch keeps accumulating into them.
+        Workers get *grace* seconds (default: the policy's) to finish
+        their in-flight chunk and exit; stragglers are terminated.  The
+        supervision counters survive ``close`` — a pool restarted by a
+        later batch keeps accumulating into them.
 
         Idempotent and thread-safe: repeated or concurrent ``close``
-        calls — including after a worker has already died — tear each
-        pool down exactly once and simply return afterwards, so every
+        calls — including after a worker has already died — tear the
+        workers down exactly once and simply return afterwards, so every
         shutdown path (``__exit__``, a service drain, an ``atexit``
         hook) may call it without coordinating.
         """
-        if grace is None:
-            grace = self.policy.grace if self.policy is not None else DEFAULT_GRACE
         with self._close_lock:
-            mp_pool, self._pool = self._pool, None
             supervised, self._supervised = self._supervised, None
-        if mp_pool is not None:
-            _graceful_mp_close(mp_pool, grace)
         if supervised is not None:
-            supervised.close(grace)
+            supervised.close(self.policy.grace if grace is None else grace)
 
     def abort(self) -> None:
         """Abort the supervised batch running on this pool, if any.
@@ -509,27 +463,6 @@ class CampaignPool:
     def stats(self) -> Dict[str, float]:
         """A copy of the supervision counters (zeros when never used)."""
         return dict(self.counters)
-
-    def _starmap(
-        self, worker: Callable, shards: List[Tuple[Any, ...]]
-    ) -> List[Any]:
-        if self.workers <= 1 or len(shards) <= 1:
-            return [worker(*shard) for shard in shards]
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(self.workers)
-        try:
-            return self._pool.starmap(worker, shards, chunksize=1)
-        except Exception as exc:
-            if not is_pickling_error(exc):
-                raise
-            # A half-submitted batch can leave the pool machinery in an
-            # undefined state: drop it (a later batch respawns lazily)
-            # and run this batch here, naming the unpicklable object.
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            warn_unpicklable(shards, exc)
-            return [worker(*shard) for shard in shards]
 
     def run(
         self,

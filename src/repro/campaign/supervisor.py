@@ -1,14 +1,14 @@
 """Supervised campaign execution: deadlines, retries, quarantine, self-heal.
 
-The bare ``multiprocessing.Pool`` behind :mod:`repro.campaign.runner`
-has production-hostile failure modes: a worker killed by the OOM killer
-(or a segfault in a native extension) silently loses its in-flight task
-and the batch wedges forever; an exception whose instance cannot be
-pickled kills the pool's result machinery; a runaway job (an ILP
-branch-and-bound that never bounds) hangs the whole campaign.  Large
-hardware-testing campaigns are exactly where partial failure is routine,
-so this module puts a **supervisor** between the chunked batch and the
-OS processes:
+A bare process pool has production-hostile failure modes: a worker
+killed by the OOM killer (or a segfault in a native extension) silently
+loses its in-flight task and the batch wedges forever; an exception
+whose instance cannot be pickled kills the pool's result machinery; a
+runaway job (an ILP branch-and-bound that never bounds) hangs the whole
+campaign.  Large hardware-testing campaigns are exactly where partial
+failure is routine, so every pooled batch of
+:mod:`repro.campaign.runner` runs under a **supervisor** between the
+chunked batch and the OS processes:
 
 * :class:`SupervisedPool` manages raw ``multiprocessing.Process``
   workers over duplex pipes.  The parent waits on connections *and*
@@ -29,7 +29,8 @@ OS processes:
   :class:`SupervisorPolicy` — ``on_error="quarantine"`` records a
   structured :class:`FailedItem` and completes the batch,
   ``"serial_retry"`` re-runs the item in-process as graceful
-  degradation, ``"raise"`` raises :class:`PoisonItemError`.
+  degradation, ``"raise"`` raises :class:`PoisonItemError` (the
+  runner's default, with no retry and no deadline).
 
 Every event (retry, timeout, worker death, respawn, bisection,
 quarantine, backoff seconds) is counted into the pool's plain counter
@@ -436,7 +437,7 @@ def _worker_main(conn) -> None:
     """The supervised worker loop: recv task, run guarded, send outcome.
 
     Module-level warm state (:mod:`repro.campaign.jobs`) accumulates
-    across tasks exactly as under ``multiprocessing.Pool``.  A ``None``
+    across tasks and, on a persistent pool, across batches.  A ``None``
     task is the shutdown sentinel.  Results are pickled *before* any
     bytes hit the pipe (``Connection.send`` serializes first), so an
     unpicklable result never corrupts the stream — it is re-sent as an

@@ -24,7 +24,6 @@ from repro.cat.stdlib import (
     builtin_model_source,
     clear_model_cache,
     load_builtin_model,
-    load_stats,
 )
 
 __all__ = [
@@ -34,6 +33,5 @@ __all__ = [
     "builtin_model_names",
     "builtin_model_source",
     "load_builtin_model",
-    "load_stats",
     "clear_model_cache",
 ]

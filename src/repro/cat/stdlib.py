@@ -9,7 +9,7 @@ Loading is memoized: the ``.cat`` file is read and parsed once per
 model name, and every :func:`load_builtin_model` call returns a *fresh*
 :class:`~repro.cat.interpreter.CatModel` wrapping the cached (frozen)
 AST — so repeated loads skip the parser, yet no caller can corrupt the
-cache by mutating the model object it was handed.  ``load_stats()``
+cache by mutating the model object it was handed.  :func:`cache_stats`
 exposes the hit counters; :func:`clear_model_cache` resets the cache
 (useful when a model file is edited in a live process).
 """
@@ -48,8 +48,7 @@ def _make_stats():
     return CacheStats("cat_models", entries=lambda: len(_PROGRAM_CACHE))
 
 
-#: counters on the unified CacheStats interface (PR 6); ``load_stats``
-#: and ``clear_model_cache`` remain as thin backcompat wrappers.
+#: counters on the unified CacheStats interface.
 _STATS = _make_stats()
 
 
@@ -95,18 +94,6 @@ def load_builtin_model(name: str) -> CatModel:
     else:
         _STATS.hit()
     return CatModel(program)
-
-
-def load_stats() -> Dict[str, int]:
-    """Backcompat probe: the parsed-model cache counters as a dict.
-
-    The same numbers live on the unified interface as
-    ``cache_stats().as_dict()``."""
-    return {
-        "hits": _STATS.hits,
-        "misses": _STATS.misses,
-        "entries": len(_PROGRAM_CACHE),
-    }
 
 
 def clear_model_cache() -> None:

@@ -54,18 +54,8 @@ from repro.fences.placement import (
 #: Solved-instance memo: canonical signature -> (optimal cost, selection).
 _MEMO: Dict[Tuple, Tuple[float, Tuple[int, ...]]] = {}
 _MEMO_MAX = 4096
-#: The memo's counters on the unified CacheStats interface (PR 6); the
-#: pre-telemetry ``memo_stats``/``clear_memo`` probes remain as thin
-#: wrappers over it.
+#: The memo's counters on the unified CacheStats interface.
 _STATS = _telemetry.CacheStats("ilp_memo", entries=lambda: len(_MEMO))
-
-
-def memo_stats() -> Dict[str, int]:
-    """Backcompat probe: the solver-memo counters as a plain dict.
-
-    The same numbers (plus hit rate) live on the unified interface as
-    ``cache_stats().as_dict()``."""
-    return {"hits": _STATS.hits, "misses": _STATS.misses, "entries": len(_MEMO)}
 
 
 def cache_stats() -> _telemetry.CacheStats:

@@ -1,12 +1,12 @@
 """One hit/miss/eviction interface for every cache of the toolbox.
 
-Before this module each cache grew its own ad-hoc probe —
-``fences.ilp.memo_stats()``, ``cat.stdlib.load_stats()``, the Session's
-resolved-model hit counters, ``ContextCache.stats()`` — with mutually
-inconsistent shapes.  A :class:`CacheStats` is the one shape they all
-share now: the owning cache calls :meth:`hit`/:meth:`miss`/:meth:`evict`
-at the natural points, supplies an ``entries`` callable so the current
-size is always live, and every probe renders through :meth:`as_dict`.
+Every cache — the ILP solve memo (``fences.ilp.cache_stats()``), the
+parsed-cat-model cache (``cat.stdlib.cache_stats()``), the Session's
+resolved-model cache, the ``ContextCache`` — counts its traffic on one
+:class:`CacheStats`: the owning cache calls :meth:`hit`/:meth:`miss`/
+:meth:`evict` at the natural points, supplies an ``entries`` callable
+so the current size is always live, and every probe renders through
+:meth:`as_dict`.
 
 When a telemetry registry is installed (``repro.telemetry.enable()``),
 each event is additionally mirrored into the active registry as

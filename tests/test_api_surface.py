@@ -86,7 +86,6 @@ SUBPACKAGE_API = {
         "clear_model_cache",
         "load_builtin_model",
         "load_cat_model",
-        "load_stats",
         "parse_cat",
     ],
     "repro.diy": [

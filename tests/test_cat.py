@@ -167,16 +167,16 @@ def test_fig38_power_cat_equals_builtin_power_on_named_tests():
 
 
 def test_load_builtin_model_parses_once_per_name():
-    from repro.cat import clear_model_cache, load_stats
+    from repro.cat import clear_model_cache
+    from repro.cat.stdlib import cache_stats
 
     clear_model_cache()
+    stats = cache_stats()
     try:
         first = load_builtin_model("power")
-        stats = load_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 0
+        assert stats.misses == 1 and stats.hits == 0 and stats.entries == 1
         second = load_builtin_model("power")
-        stats = load_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats.misses == 1 and stats.hits == 1 and stats.entries == 1
         # Fresh wrapper objects over one shared (frozen) program.
         assert first is not second
         assert first.program is second.program

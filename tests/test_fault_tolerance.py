@@ -13,6 +13,7 @@ inferred from the machine.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import warnings
 
 import pytest
@@ -208,6 +209,52 @@ def test_raise_policy_names_the_poison_item():
     assert [failure.item for failure in excinfo.value.failures] == [repr(9)]
 
 
+def _within_watchdog(batch, timeout=20.0):
+    """Run *batch* in a daemon thread; its exception, or None.
+
+    A batch that blocks fails the test at *timeout* instead of hanging
+    the suite (the worker-crash shape that wedges a bare process pool).
+    """
+    outcome: dict = {}
+
+    def target():
+        try:
+            batch()
+        except Exception as exc:  # noqa: BLE001 — handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"batch still blocked after {timeout:g}s"
+    return outcome.get("error")
+
+
+@pytest.mark.parametrize(
+    "kind, failure_kind", (("crash", "worker-death"), ("raise", "exception"))
+)
+def test_policyless_batches_raise_instead_of_hanging(kind, failure_kind):
+    # No policy anywhere: the default one has no retry and no deadline,
+    # yet a crashed or raising worker still isolates its one item.
+    spec = FaultSpec(kind, repr(7))
+
+    def with_run_sharded():
+        run_sharded(echo_chunk, JOBS, payload=spec, processes=2, chunk_size=4)
+
+    def with_campaign_pool():
+        with CampaignPool(2) as pool:
+            pool.run(echo_chunk, JOBS, payload=spec, chunk_size=4)
+
+    for batch in (with_run_sharded, with_campaign_pool):
+        error = _within_watchdog(batch)
+        assert isinstance(error, PoisonItemError), repr(error)
+        assert [failure.item for failure in error.failures] == [repr(7)]
+        assert error.failures[0].kind == failure_kind
+        if kind == "raise":
+            assert "FaultInjected" in error.failures[0].error
+            assert "FaultInjected" in error.failures[0].traceback
+
+
 def test_serial_retry_heals_worker_only_faults():
     # only_in_worker=True (the default) records this process's pid, so
     # the in-process retry of the poison item succeeds.
@@ -319,25 +366,29 @@ def test_close_leaves_no_worker_processes_behind():
 # -- unpicklable payloads fall back to serial ------------------------------------
 
 
-def test_unpicklable_payload_falls_back_serially_legacy_path():
+@pytest.mark.parametrize(
+    "policy",
+    (None, SupervisorPolicy(on_error="quarantine", **FAST)),
+    ids=("default", "quarantine"),
+)
+def test_unpicklable_payload_falls_back_serially(policy):
+    errors: list = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         results = run_sharded(
-            echo_chunk, JOBS, payload=lambda: None, processes=2, chunk_size=4
+            echo_chunk,
+            JOBS,
+            payload=lambda: None,
+            processes=2,
+            chunk_size=4,
+            policy=policy,
+            errors=errors,
         )
     assert results == SERIAL
+    assert errors == []
     pickling = [w for w in caught if issubclass(w.category, CampaignPicklingWarning)]
     assert len(pickling) == 1
     assert "lambda" in str(pickling[0].message)
-
-
-def test_unpicklable_payload_falls_back_serially_supervised_path():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results, errors = quarantine_run(lambda: None)
-    assert results == SERIAL
-    assert errors == []
-    assert any(issubclass(w.category, CampaignPicklingWarning) for w in caught)
 
 
 def test_pool_survives_an_unpicklable_payload():
@@ -542,7 +593,7 @@ def test_pool_close_is_idempotent_with_a_dead_worker():
     supervised._members[0].process.join(5.0)
     pool.close(grace=0.5)
     pool.close(grace=0.5)  # double close: a no-op, not an error
-    assert pool._supervised is None and pool._pool is None
+    assert pool._supervised is None
 
 
 def test_pool_concurrent_close_tears_down_exactly_once():
@@ -558,7 +609,7 @@ def test_pool_concurrent_close_tears_down_exactly_once():
         thread.start()
     for thread in threads:
         thread.join(timeout=10.0)
-    assert pool._supervised is None and pool._pool is None
+    assert pool._supervised is None
 
 
 def test_error_ring_bounds_records_and_counts_drops():

@@ -318,8 +318,10 @@ def test_solver_memo_hits_on_structurally_equal_tests():
         test = sb_like(name, a, b)
         aeg = aeg_from_litmus(test)
         plan_placements(aeg, critical_cycles(aeg), "power", strategy="ilp")
-    stats = ilp.memo_stats()
-    assert stats["misses"] == 1 and stats["hits"] == 1
+    stats = ilp.cache_stats()
+    assert stats.misses == 1 and stats.hits == 1 and stats.entries == 1
+    ilp.clear_memo()
+    assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
 
 
 # -- escalation parity (the dep-rejection fix) -------------------------------------

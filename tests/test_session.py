@@ -230,11 +230,13 @@ def test_warm_session_reuses_one_pool_across_batches(family):
         first = session.sweep(family)
         pool = session._pool
         assert pool is not None and pool.workers == 2
-        workers = pool._pool
+        pids = [worker.process.pid for worker in pool._supervised._members]
+        assert len(pids) == 2
         second = session.sweep(family, model="arm")
         repaired = session.repair(family[:4])
         assert session._pool is pool          # same CampaignPool object...
-        assert pool._pool is workers          # ...and the same live workers
+        # ...and the same live worker processes.
+        assert [worker.process.pid for worker in pool._supervised._members] == pids
     # Pooled results equal the serial legacy drivers.
     assert first == sweep_family(family, "power")
     assert second == sweep_family(family, "arm")

@@ -9,9 +9,9 @@ The load-bearing guarantees:
   campaign counters equal the serial run's;
 * snapshots are JSON-plain — pickling one never drags a simulator,
   model or test object across a process boundary;
-* the historical probes (``ilp.memo_stats``, ``cat.load_stats``, the
-  context cache's counter attributes, ``Session.stats()``'s key shapes)
-  survive the migration onto :class:`~repro.telemetry.CacheStats`.
+* the context cache's counter attributes and ``Session.stats()``'s
+  key shapes survive the migration onto
+  :class:`~repro.telemetry.CacheStats`.
 """
 
 from __future__ import annotations
@@ -242,33 +242,6 @@ def test_cache_stats_mirror_into_the_active_registry():
     assert counters["cache.mirror.misses"] == 1
     assert counters["cache.mirror.evictions"] == 4
     assert stats.hits == 2  # local totals keep the pre-enable traffic
-
-
-def test_ilp_memo_backcompat_probes_ride_on_cache_stats():
-    from repro.fences import ilp
-
-    ilp.clear_memo()
-    stats = ilp.cache_stats()
-    assert isinstance(stats, CacheStats)
-    assert ilp.memo_stats() == {"hits": 0, "misses": 0, "entries": 0}
-    stats.miss()
-    assert ilp.memo_stats()["misses"] == 1
-    ilp.clear_memo()
-    assert ilp.memo_stats() == {"hits": 0, "misses": 0, "entries": 0}
-
-
-def test_cat_stdlib_backcompat_probes_ride_on_cache_stats():
-    from repro.cat import clear_model_cache, load_builtin_model, load_stats
-    from repro.cat.stdlib import cache_stats
-
-    clear_model_cache()
-    try:
-        load_builtin_model("tso")
-        load_builtin_model("tso")
-        assert load_stats() == {"hits": 1, "misses": 1, "entries": 1}
-        assert cache_stats().as_dict()["hits"] == 1
-    finally:
-        clear_model_cache()
 
 
 def test_context_cache_counters_stay_readable_attributes():
