@@ -189,14 +189,12 @@ class CatModel:
                 if cycle is not None:
                     violation = AxiomViolation(label, tuple(cycle))
             elif statement.kind == "irreflexive":
-                for src, dst in relation:
-                    if src == dst:
-                        violation = AxiomViolation(label, (src,))
-                        break
+                event = relation.first_reflexive()
+                if event is not None:
+                    violation = AxiomViolation(label, (event,))
             else:  # empty
                 if relation:
-                    pair = next(iter(relation))
-                    violation = AxiomViolation(label, pair)
+                    violation = AxiomViolation(label, min(relation.pairs))
             if violation is not None:
                 violations.append(violation)
                 if stop_at_first:

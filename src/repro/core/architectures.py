@@ -81,7 +81,11 @@ def _cumulative_prop(
         A-cumul   = rfe; fences
         prop-base = (fences ∪ A-cumul); hb*
         prop      = (prop-base ∩ WW) ∪ (com*; prop-base*; ffence; hb*)
+
+    Both halves go through a fence, so without fences prop is empty.
     """
+    if not fences and not ffence:
+        return Relation.empty()
     events = execution.memory_events
     hb = ppo | fences | execution.rfe
     hb_star = hb.reflexive_transitive_closure(events)
@@ -94,11 +98,11 @@ def _cumulative_prop(
 
 
 def power_prop(execution: Execution, ppo: Relation, fences: Relation) -> Relation:
-    return _cumulative_prop(execution, ppo, fences, power_ffence(execution))
+    return _cumulative_prop(execution, ppo, fences, execution.shared(power_ffence))
 
 
 def arm_prop(execution: Execution, ppo: Relation, fences: Relation) -> Relation:
-    return _cumulative_prop(execution, ppo, fences, arm_ffence(execution))
+    return _cumulative_prop(execution, ppo, fences, execution.shared(arm_ffence))
 
 
 def sc_prop(execution: Execution, ppo: Relation, fences: Relation) -> Relation:
@@ -125,6 +129,10 @@ def sc_ppo(execution: Execution) -> Relation:
 
 def tso_ppo(execution: Execution) -> Relation:
     """TSO preserves everything but write-read pairs (po \\ WR)."""
+    return execution.shared(_po_without_wr)
+
+
+def _po_without_wr(execution: Execution) -> Relation:
     return execution.po - execution.restrict_wr(execution.po)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.events import Event
 from repro.core.execution import Execution
 from repro.core.relation import Relation
 
@@ -75,16 +74,23 @@ def check_no_thin_air(execution: Execution, hb: Relation) -> Optional[AxiomViola
     return _acyclic_violation(AXIOM_NO_THIN_AIR, hb)
 
 
+def _irreflexive_violation(axiom: str, relation: Relation) -> Optional[AxiomViolation]:
+    event = relation.first_reflexive()
+    if event is None:
+        return None
+    return AxiomViolation(axiom, (event,))
+
+
 def check_observation(
     execution: Execution, prop: Relation, hb: Relation
 ) -> Optional[AxiomViolation]:
     """``irreflexive(fre; prop; hb*)``."""
+    if not prop:
+        return None
     hb_star = hb.reflexive_transitive_closure(execution.memory_events)
-    composed = execution.fre.seq(prop).seq(hb_star)
-    for src, dst in composed:
-        if src == dst:
-            return AxiomViolation(AXIOM_OBSERVATION, (src,))
-    return None
+    return _irreflexive_violation(
+        AXIOM_OBSERVATION, execution.fre.seq(prop).seq(hb_star)
+    )
 
 
 def check_propagation(
@@ -94,9 +100,5 @@ def check_propagation(
     if variant == "acyclic":
         return _acyclic_violation(AXIOM_PROPAGATION, execution.co | prop)
     if variant == "irreflexive_prop_co":
-        composed = prop.seq(execution.co)
-        for src, dst in composed:
-            if src == dst:
-                return AxiomViolation(AXIOM_PROPAGATION, (src,))
-        return None
+        return _irreflexive_violation(AXIOM_PROPAGATION, prop.seq(execution.co))
     raise ValueError(f"unknown PROPAGATION variant: {variant!r}")

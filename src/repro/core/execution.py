@@ -14,16 +14,36 @@ An :class:`Execution` packages:
 From these it derives everything the axioms and the architecture
 functions use: ``fr``, ``com``, ``po-loc``, internal/external variants,
 ``rdw``, ``detour`` and the direction-restricted views (WR, WW, RR, RW).
+
+The executions of one combination of thread paths (one
+:class:`~repro.herd.enumerate.CombinationContext`) differ only in ``rf``
+and ``co``; they share one :attr:`Execution.memo`, so whatever depends
+on the other fields alone (the event sets, ``po-loc``, ``dp``, the
+fence relations, the static part of a ppo) is computed once per
+combination rather than once per candidate (see :meth:`Execution.shared`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, TypeVar,
+)
 
 from repro.core.events import Event, MemoryWrite
 from repro.core.relation import Relation
+
+
+T = TypeVar("T")
+
+
+def _shared_property(function: Callable[["Execution"], T]) -> cached_property:
+    """A ``cached_property`` computed once per memo, through
+    :meth:`Execution.shared`: *function* may not read rf or co."""
+    shared = cached_property(lambda execution: execution.shared(function))
+    shared.__doc__ = function.__doc__
+    return shared
 
 
 class ExecutionError(ValueError):
@@ -46,6 +66,32 @@ class Execution:
     # `rmw` pairs a load-reserve/store-conditional couple; unused by the
     # base models but exposed for extensions.
     rmw: Relation = field(default_factory=Relation)
+    #: The cache every execution of one combination shares (see
+    #: :meth:`shared`); never compared, never pickled.
+    #: ``dataclasses.replace`` copies it, so a replace that changes po, a
+    #: dependency or a fence relation must pass ``memo={}``.
+    memo: Dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # Memo keys are functions, some of them lambdas, and every entry
+        # is recomputable: never ship the memo across a process boundary.
+        state = dict(self.__dict__)
+        state["memo"] = {}
+        return state
+
+    def shared(self, function: Callable[["Execution"], T]) -> T:
+        """``function(self)``, computed once per memo and keyed by *function*.
+
+        *function* must read only the fields every execution of the
+        combination has in common (events, po, dependencies, fences),
+        never ``rf`` or ``co``: its result is reused by every leaf.
+        """
+        memo = self.memo
+        try:
+            return memo[function]
+        except KeyError:
+            value = memo[function] = function(self)
+            return value
 
     # -- construction helpers ----------------------------------------------------
 
@@ -116,15 +162,15 @@ class Execution:
 
     # -- event sets --------------------------------------------------------------
 
-    @cached_property
+    @_shared_property
     def memory_events(self) -> FrozenSet[Event]:
         return frozenset(e for e in self.events if e.is_memory_access())
 
-    @cached_property
+    @_shared_property
     def reads(self) -> FrozenSet[Event]:
         return frozenset(e for e in self.events if e.is_read())
 
-    @cached_property
+    @_shared_property
     def writes(self) -> FrozenSet[Event]:
         return frozenset(e for e in self.events if e.is_write())
 
@@ -147,7 +193,7 @@ class Execution:
 
     # -- fundamental derived relations -------------------------------------------
 
-    @cached_property
+    @_shared_property
     def po_loc(self) -> Relation:
         """Program order restricted to pairs accessing the same location."""
         return self.po.same_location()
@@ -196,15 +242,32 @@ class Execution:
 
     @cached_property
     def rdw(self) -> Relation:
-        """Read-different-writes: po-loc ∩ (fre; rfe)."""
-        return self.po_loc & self.fre.seq(self.rfe)
+        """Read-different-writes: po-loc ∩ (fre; rfe).
+
+        ``fre; rfe`` relates reads to reads, so only the read-read pairs
+        of po-loc can be in rdw; without any it is empty.
+        """
+        if not self._po_loc_rr:
+            return self._po_loc_rr
+        return self._po_loc_rr & self.fre.seq(self.rfe)
 
     @cached_property
     def detour(self) -> Relation:
-        """Detour: po-loc ∩ (coe; rfe)."""
-        return self.po_loc & self.coe.seq(self.rfe)
+        """Detour: po-loc ∩ (coe; rfe), which only po-loc's write-read
+        pairs can be in."""
+        if not self._po_loc_wr:
+            return self._po_loc_wr
+        return self._po_loc_wr & self.coe.seq(self.rfe)
 
-    @cached_property
+    @_shared_property
+    def _po_loc_rr(self) -> Relation:
+        return self.restrict_rr(self.po_loc)
+
+    @_shared_property
+    def _po_loc_wr(self) -> Relation:
+        return self.restrict_wr(self.po_loc)
+
+    @_shared_property
     def dp(self) -> Relation:
         """Dependencies dp = addr ∪ data."""
         return self.addr | self.data

@@ -27,6 +27,14 @@ PropFn = Callable[[Execution, Relation, Relation], Relation]
 class Architecture:
     """An instance of the framework: ``(ppo, fences, prop)`` plus variants.
 
+    ``fences_fn`` and ``ffence_fn`` read only the fields every candidate
+    of one combination of thread paths has in common (events, po, the
+    fence relations), never ``rf`` or ``co`` — true of all the
+    architectures in :mod:`repro.core.architectures`.  :meth:`fences`
+    and :meth:`ffence` therefore compute them once per combination,
+    through :meth:`Execution.shared
+    <repro.core.execution.Execution.shared>`.
+
     Attributes
     ----------
     name:
@@ -61,10 +69,10 @@ class Architecture:
         return self.ppo_fn(execution)
 
     def fences(self, execution: Execution) -> Relation:
-        return self.fences_fn(execution)
+        return execution.shared(self.fences_fn)
 
     def ffence(self, execution: Execution) -> Relation:
-        return self.ffence_fn(execution)
+        return execution.shared(self.ffence_fn)
 
     def prop(self, execution: Execution, ppo: Optional[Relation] = None,
              fences: Optional[Relation] = None) -> Relation:

@@ -32,6 +32,11 @@ Finally ``ppo = (ii ∩ RR) ∪ (ic ∩ RW)``.
 The module also provides the "static" variant discussed at the end of
 Sec. 8.2 (``rdw`` removed from ``ii0`` and ``detour`` removed from
 ``ci0``), used by the ablation benchmark.
+
+Only ``ii0`` and ``ci0`` depend on rf and co.  ``cc0`` is computed once
+per combination of thread paths, and the fixpoint once per distinct
+``(ii0, ci0)`` in it, both through the memo the combination's
+executions share (:meth:`~repro.core.execution.Execution.shared`).
 """
 
 from __future__ import annotations
@@ -117,16 +122,14 @@ def ppo_components(
         Setting either to False gives the "more static" ppo variant
         discussed at the end of Sec. 8.2.
     """
-    dp = execution.dp
     rdw = execution.rdw if include_rdw else Relation()
     detour = execution.detour if include_detour else Relation()
 
-    ii0 = dp | rdw | execution.rfi
+    ii0 = execution.dp | rdw | execution.rfi
     ic0 = Relation()
     ci0 = execution.ctrl_cfence | detour
-    cc0 = dp | execution.ctrl | execution.addr.seq(execution.po)
-    if include_po_loc_in_cc0:
-        cc0 = cc0 | execution.po_loc
+    cc0_of = _power_cc0 if include_po_loc_in_cc0 else _arm_cc0
+    cc0 = execution.shared(cc0_of)
 
     index = ii0._index
     if (
@@ -135,6 +138,11 @@ def ppo_components(
         and cc0._index is index
     ):
         # Kernel fast path: iterate on raw rows, wrap once at the end.
+        # Within one combination the solution depends on ii0 and ci0 only.
+        key = (cc0_of, ii0._rows, ci0._rows)
+        components = execution.memo.get(key)
+        if components is not None:
+            return components
         zero = [0] * index.n
         ii_r, ic_r, ci_r, cc_r = _fixpoint_rows(
             list(ii0._rows), zero, list(ci0._rows), list(cc0._rows)
@@ -147,17 +155,28 @@ def ppo_components(
             else 0
             for i in range(index.n)
         ]
-        return PpoComponents(
+        components = execution.memo[key] = PpoComponents(
             ii=Relation.from_rows(index, ii_r),
             ic=Relation.from_rows(index, ic_r),
             ci=Relation.from_rows(index, ci_r),
             cc=Relation.from_rows(index, cc_r),
             ppo=Relation.from_rows(index, ppo_rows),
         )
+        return components
 
     ii, ic, ci, cc = _fixpoint(ii0, ic0, ci0, cc0)
     ppo = execution.restrict_rr(ii) | execution.restrict_rw(ic)
     return PpoComponents(ii=ii, ic=ic, ci=ci, cc=cc, ppo=ppo)
+
+
+def _arm_cc0(execution: Execution) -> Relation:
+    """``cc0`` of the proposed ARM model: ``dp | ctrl | (addr; po)``."""
+    return execution.dp | execution.ctrl | execution.addr.seq(execution.po)
+
+
+def _power_cc0(execution: Execution) -> Relation:
+    """``cc0`` of Power: ARM's plus ``po-loc``."""
+    return execution.shared(_arm_cc0) | execution.po_loc
 
 
 def power_ppo(execution: Execution) -> Relation:

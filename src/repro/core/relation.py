@@ -390,11 +390,20 @@ class Relation:
     # -- predicates --------------------------------------------------------------
 
     def is_irreflexive(self) -> bool:
+        return self.first_reflexive() is None
+
+    def first_reflexive(self) -> Optional["Event"]:
+        """The smallest event related to itself, or None when irreflexive.
+
+        Reporting the smallest keeps witnesses independent of the hash
+        order of the pair set.
+        """
         if self._index is not None:
-            return not any(
-                row >> i & 1 for i, row in enumerate(self._rows)  # type: ignore[arg-type]
-            )
-        return all(src != dst for src, dst in self._pairs)
+            for i, row in enumerate(self._rows):  # type: ignore[arg-type]
+                if row >> i & 1:
+                    return self._index.events[i]
+            return None
+        return min((src for src, dst in self._pairs if src == dst), default=None)
 
     def is_acyclic(self) -> bool:
         if self._index is not None and "cycle" not in self._cache:

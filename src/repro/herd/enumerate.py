@@ -30,8 +30,10 @@ identical candidate sets and verdicts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.bitrel import EventIndex
 from repro.core.events import Event
@@ -99,8 +101,10 @@ class CombinationContext:
 
     The event universe is interned once into an :class:`EventIndex`; the
     program order, dependency and fence relations are built once in the
-    bitmask kernel and reused by every candidate (and by every model
-    check over those candidates).
+    bitmask kernel and reused by every candidate.  Every execution built
+    here shares one :attr:`memo` (see :meth:`Execution.shared
+    <repro.core.execution.Execution.shared>`), so model checks compute
+    what depends on those fixed relations alone once per combination.
     """
 
     index: EventIndex
@@ -118,9 +122,13 @@ class CombinationContext:
     reads: Tuple[Event, ...]
     #: per read, the candidate rf sources (same location, same value).
     rf_sources: Tuple[Tuple[Event, ...], ...]
-    #: per (sorted) location, the coherence orders (init first).
+    #: per (sorted) location, its initial write(s) and its other writes
+    #: in event order: the coherence orders are ``init + permutation``.
     locations: Tuple[str, ...]
-    co_orders: Tuple[Tuple[Tuple[Event, ...], ...], ...]
+    location_writes: Tuple[Tuple[Tuple[Event, ...], Tuple[Event, ...]], ...]
+    #: the :attr:`Execution.memo <repro.core.execution.Execution.memo>`
+    #: of every execution built from this context.
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -133,12 +141,34 @@ class CombinationContext:
             count *= len(sources)
         return count
 
+    @cached_property
+    def co_orders(self) -> Tuple[Tuple[Tuple[Event, ...], ...], ...]:
+        """Per location, every coherence order (init first).  Only the
+        naive oracle enumerates these; the counts and the final values
+        below follow from :attr:`location_writes` directly."""
+        return tuple(
+            tuple(init + order for order in itertools.permutations(rest))
+            for init, rest in self.location_writes
+        )
+
     @property
     def co_count(self) -> int:
         count = 1
-        for orders in self.co_orders:
-            count *= len(orders)
+        for _, rest in self.location_writes:
+            count *= math.factorial(len(rest))
         return count
+
+    def final_values(self) -> Dict[str, Set[int]]:
+        """Per location, the values its co-last write may leave in memory:
+        any non-initial write can come last, the initial write only when
+        it is alone."""
+        return {
+            location: {
+                write.value if write.value is not None else 0
+                for write in (rest or init[-1:])
+            }
+            for location, (init, rest) in zip(self.locations, self.location_writes)
+        }
 
     @property
     def total_candidates(self) -> int:
@@ -177,6 +207,7 @@ class CombinationContext:
             ctrl=self.ctrl,
             ctrl_cfence=self.ctrl_cfence,
             fences_by_name=self.fences,
+            memo=self.memo,
         )
 
     def candidate(self, rf: Relation, co: Relation) -> Candidate:
@@ -237,27 +268,21 @@ def combination_context(
     writes = tuple(e for e in all_events if e.is_write())
     reads = tuple(e for e in all_events if e.is_read())
 
-    rf_sources = tuple(
-        tuple(
-            write
-            for write in writes
-            if write.location == read.location and write.value == read.value
-        )
-        for read in reads
-    )
-
+    # One pass over the writes, in event order: the rf sources of each
+    # (location, value) and each location's (init, other writes).
     sorted_locations = tuple(sorted(touched))
-    co_orders: List[Tuple[Tuple[Event, ...], ...]] = []
-    for location in sorted_locations:
-        local_writes = [w for w in writes if w.location == location]
-        init = tuple(w for w in local_writes if w.is_init())
-        rest = sorted(w for w in local_writes if not w.is_init())
-        # Unconstrained linear extensions are plain permutations (the
-        # empty permutation makes this (init,) when there is no other
-        # write to the location).
-        co_orders.append(
-            tuple(init + order for order in itertools.permutations(rest))
-        )
+    buckets: Dict[str, Tuple[List[Event], List[Event]]] = {
+        location: ([], []) for location in sorted_locations
+    }
+    sources_of: Dict[Tuple[str, object], List[Event]] = {}
+    for write in writes:
+        location = write.location
+        sources_of.setdefault((location, write.value), []).append(write)
+        init, rest = buckets[location]
+        (init if write.is_init() else rest).append(write)
+    rf_sources = tuple(
+        tuple(sources_of.get((read.location, read.value), ())) for read in reads
+    )
 
     return CombinationContext(
         index=index,
@@ -275,7 +300,9 @@ def combination_context(
         reads=reads,
         rf_sources=rf_sources,
         locations=sorted_locations,
-        co_orders=tuple(co_orders),
+        location_writes=tuple(
+            (tuple(init), tuple(rest)) for init, rest in buckets.values()
+        ),
     )
 
 

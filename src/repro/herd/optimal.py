@@ -327,16 +327,6 @@ class OptimalPlan:
 
     # -- outcome universe ---------------------------------------------------------
 
-    def _final_values(self) -> Dict[str, Set[int]]:
-        """Per location, the possible final (co-maximal) values."""
-        finals: Dict[str, Set[int]] = {}
-        for location, orders in zip(self.context.locations, self.context.co_orders):
-            finals[location] = {
-                order[-1].value if order[-1].value is not None else 0
-                for order in orders
-            }
-        return finals
-
     def _register_part(self) -> List[Tuple[str, int]]:
         """The register projection of the outcome (fixed per combination)."""
         condition = self.test.condition if self.test is not None else None
@@ -387,7 +377,7 @@ class OptimalPlan:
         else:
             referenced = sorted(self.context.locations)
 
-        finals = self._final_values()
+        finals = self.context.final_values()
         choices = [sorted(finals.get(location, {0})) for location in referenced]
         return {
             self._project(register_part, dict(zip(referenced, values)))
@@ -415,20 +405,17 @@ class OptimalPlan:
         context = self.context
         ids = context.index.ids
         preds_global = rows_inverse(sc_per_location_rows(context, self.variant))
-        # One pass buckets the accesses by location, keeping event order:
-        # (init writes, other writes, positions of the reads).
-        buckets: Dict[str, Tuple[List[Event], List[Event], List[int]]] = {
-            location: ([], [], []) for location in context.locations
+        # Per location, the positions of its reads in event order.
+        read_positions: Dict[str, List[int]] = {
+            location: [] for location in context.locations
         }
-        for write in context.writes:
-            init, writes, _ = buckets[write.location]
-            (init if write.is_init() else writes).append(write)
         for position, read in enumerate(context.reads):
-            buckets[read.location][2].append(position)
+            read_positions[read.location].append(position)
         walks: List[LocationWalk] = []
-        for location, (init, writes, positions) in buckets.items():
+        for location, (init, writes) in zip(context.locations, context.location_writes):
+            positions = read_positions[location]
             reads = [context.reads[position] for position in positions]
-            local_ids = [ids[event] for event in writes + reads]
+            local_ids = [ids[event] for event in writes + tuple(reads)]
             # po-loc only relates same-location events, so every
             # predecessor of a local event is itself local.
             preds = []
@@ -443,8 +430,8 @@ class OptimalPlan:
             walks.append(
                 LocationWalk(
                     location,
-                    tuple(init),
-                    writes,
+                    init,
+                    list(writes),
                     reads,
                     positions,
                     [context.rf_sources[position] for position in positions],
