@@ -63,7 +63,10 @@ def _healthy_stats():
             direct.verdict(tests)
         direct_seconds = time.perf_counter() - start
 
-    config = ServiceConfig(port=0, batch_window=0.002)
+    # Memo off: otherwise the warm-up request seeds the verdict cache
+    # and the cache answers nearly every timed item at admission, so
+    # the batching and overhead figures would measure the memo.
+    config = ServiceConfig(port=0, batch_window=0.002, verdict_cache_size=0)
     session = Session(model="power", processes=2)
     latencies: list = []
     responses: list = []
@@ -126,7 +129,11 @@ def test_service_healthy_latency_and_overhead(benchmark):
 
 
 def _chaos_stats():
-    config = ServiceConfig(port=0, max_queue=64, batch_window=0.01)
+    # Memo off: memoized tests never reach the pool, so the murdered
+    # worker and the poisoned test would go unseen.
+    config = ServiceConfig(
+        port=0, max_queue=64, batch_window=0.01, verdict_cache_size=0
+    )
     session = Session(
         model="power", processes=2, chunk_timeout=20.0, max_retries=1, retry_backoff=0.01
     )

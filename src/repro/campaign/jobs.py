@@ -15,6 +15,14 @@ on first use, memoizing them in module-level per-process state:
 * checkers and chips are memoized the same way by the driver-specific
   chunk workers below.
 
+Every batch of verdicts — a diy family sweep, a model comparison, a
+verdict-service batch — is one kind of job: a :class:`VerdictJob`
+carrying the test and the names of the models to judge it under, run
+by :func:`verdict_chunk`.  :func:`repro.compare.engine.paired_verdicts`
+is the one driver that shards those jobs or runs them serially; only
+the service hands them to the runner itself, so that even a one-test
+batch stays supervised.
+
 The chunk workers are module-level functions (multiprocessing pickles
 them by reference) with lazy driver imports, keeping ``repro.campaign``
 import-light and free of circular imports — driver modules import the
@@ -91,25 +99,15 @@ def _process_checker(model_name: str, backend: str):
 
 @dataclass(frozen=True)
 class VerdictJob:
-    """Allow/Forbid of one test's target outcome under one model."""
+    """Allow/Forbid of one test's target outcome under one or more models.
 
-    test: LitmusTest
-    model_name: str
-    engine: str = "optimal"
-
-
-@dataclass(frozen=True)
-class VerdictPairJob:
-    """Allow/Forbid of one test under *several* models at once.
-
-    The model-comparison driver's unit of work: the front half of the
-    pipeline (paths, event interning, plans and their per-location
-    solves) is model independent, so one
-    :class:`~repro.campaign.context.SimulationContext` serves every
-    model's verdict — a paired sweep pays it once where two
-    independent sweeps pay it twice.  ``models`` are names (workers
-    re-hydrate them); two entries for an A-vs-B comparison, more for
-    ``-violates/-satisfies`` style multi-model filters.
+    The unit of work of every batch of verdicts — a family sweep (one
+    model), a model comparison (two) or a ``-violates/-satisfies``
+    filter (several).  The front half of the pipeline (paths, event
+    interning, plans and their per-location solves) is model
+    independent, so one :class:`~repro.campaign.context.SimulationContext`
+    serves every model's verdict of the test.  ``models`` are names
+    (workers re-hydrate them).
     """
 
     test: LitmusTest
@@ -163,25 +161,12 @@ class BmcJob:
 # -- chunk workers --------------------------------------------------------------
 
 
-def verdict_chunk(chunk: List[VerdictJob], payload: Any = None) -> List[Tuple[str, str]]:
-    """Worker: ``(test name, verdict)`` for each job of the chunk."""
-    results = []
-    cache = process_context_cache()
-    for job in chunk:
-        _faults.trip(job.test.name)
-        simulator = process_simulator(job.model_name, job.engine)
-        verdict = simulator.verdict(job.test, context=cache.get(job.test))
-        results.append((job.test.name, verdict))
-    return results
-
-
-def verdict_pair_chunk(
-    chunk: List[VerdictPairJob], payload: Any = None
+def verdict_chunk(
+    chunk: List[VerdictJob], payload: Any = None
 ) -> List[Tuple[str, Tuple[str, ...]]]:
     """Worker: ``(test name, verdict per model)`` for each job.
 
-    One context lookup per job, shared by every model's verdict — the
-    paired-sweep economy the comparison driver is built on.
+    One context lookup per job, shared by every model's verdict.
     """
     results = []
     cache = process_context_cache()

@@ -11,10 +11,15 @@ sets — with two economies on top:
   interning, plans) is paid once per test instead of once per
   (test, model) pair;
 * **campaign sharding** — the paired jobs fan out over the supervised
-  campaign runtime (:class:`~repro.campaign.jobs.VerdictPairJob`) when
+  campaign runtime (:class:`~repro.campaign.jobs.VerdictJob`) when
   a pool or worker count is supplied, with exactly the serial results
   (asserted in the test-suite) and quarantine semantics for poison
   tests.
+
+:func:`paired_verdicts` is the one sharded-or-serial verdict driver of
+the package: the diy family sweep
+(:func:`repro.diy.families.sweep_family`) is this driver over a single
+model.
 
 Minimality of a witness is certified, not assumed: after the sweep,
 every budget-corpus member strictly smaller than the candidate witness
@@ -75,7 +80,7 @@ def paired_verdicts(
 ) -> PairedVerdicts:
     """``(test name, verdict per model)`` for every test, in order.
 
-    Shards :class:`~repro.campaign.jobs.VerdictPairJob` chunks over the
+    Shards :class:`~repro.campaign.jobs.VerdictJob` chunks over the
     campaign runtime when every model is a *name* and a pool (or a
     worker count above one) is available; otherwise runs in-process,
     still sharing one context per test across all models.  Quarantined
@@ -92,14 +97,12 @@ def paired_verdicts(
         and len(tests) > 1
     )
     if sharded:
-        from repro.campaign.jobs import VerdictPairJob, verdict_pair_chunk
+        from repro.campaign.jobs import VerdictJob, verdict_chunk
 
-        jobs = [
-            VerdictPairJob(test, tuple(models), engine) for test in tests
-        ]
+        jobs = [VerdictJob(test, tuple(models), engine) for test in tests]
         return list(
             campaign_runner.run_sharded(
-                verdict_pair_chunk,
+                verdict_chunk,
                 jobs,
                 processes=processes,
                 chunk_size=chunk_size,

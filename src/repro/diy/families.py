@@ -212,13 +212,14 @@ def sweep_family(
 ) -> FamilySweep:
     """Allow/Forbid verdicts of every test of a family under one model.
 
-    The batch driver behind the large-scale diy experiments: verdicts
-    of distinct tests are independent, so ``processes`` (an int, or
-    ``"auto"`` for one worker per core) shards them over the campaign
-    runtime — the model must then be given by *name* so workers can
-    re-hydrate it.  Serially, the model is resolved once for the whole
-    sweep and ``context_cache`` lets repeated sweeps of the same family
-    (e.g. under several models) skip the front half of the pipeline.
+    The batch driver behind the large-scale diy experiments: the
+    single-model case of :func:`repro.compare.engine.paired_verdicts`.
+    Verdicts of distinct tests are independent, so ``processes`` (an
+    int, or ``"auto"`` for one worker per core) or a ``pool`` shards
+    them over the campaign runtime — the model must then be given by
+    *name* so workers can re-hydrate it.  Serially, ``context_cache``
+    lets repeated sweeps of the same family (e.g. under several models)
+    skip the front half of the pipeline.
 
     ``policy`` (a :class:`~repro.campaign.SupervisorPolicy`, or the
     pool's own default) makes the sharded sweep fault-tolerant:
@@ -226,44 +227,27 @@ def sweep_family(
     :class:`~repro.campaign.FailedItem` entries on ``sweep.errors``
     (also appended to ``errors`` when the caller passes a list).
     """
-    from repro.campaign import runner as campaign_runner
+    from repro.compare.engine import model_label, paired_verdicts
 
-    tests = list(tests)
     failed: List = [] if errors is None else errors
     first_failure = len(failed)
-    sharded = (
-        pool is not None or campaign_runner.worker_count(processes) > 1
-    ) and isinstance(model, str)
-    if sharded and len(tests) > 1:
-        from repro.campaign.jobs import VerdictJob, verdict_chunk
-        from repro.herd.simulator import resolve_model
-
-        verdicts = campaign_runner.run_sharded(
-            verdict_chunk,
-            [VerdictJob(test, model, engine) for test in tests],
-            processes=processes,
-            chunk_size=chunk_size,
-            pool=pool,
-            policy=policy,
-            errors=failed,
-        )
-        # Canonical model name, exactly as the serial path reports it
-        # (model names are matched case-insensitively).
-        model_name = getattr(resolve_model(model), "name", str(model))
-        return FamilySweep(
-            model_name=model_name,
-            verdicts=tuple(verdicts),
-            errors=tuple(failed[first_failure:]),
-        )
-
-    from repro.herd.simulator import Simulator
-
-    simulator = Simulator(model, engine=engine)
-    verdicts = []
-    for test in tests:
-        context = context_cache.get(test) if context_cache is not None else None
-        verdicts.append((test.name, simulator.verdict(test, context=context)))
-    return FamilySweep(model_name=simulator.model_name, verdicts=tuple(verdicts))
+    pairs = paired_verdicts(
+        tests,
+        [model],
+        engine=engine,
+        processes=processes,
+        pool=pool,
+        context_cache=context_cache,
+        chunk_size=chunk_size,
+        policy=policy,
+        errors=failed,
+    )
+    return FamilySweep(
+        # Canonical model name: model names match case-insensitively.
+        model_name=model_label(model),
+        verdicts=tuple((name, verdicts[0]) for name, verdicts in pairs),
+        errors=tuple(failed[first_failure:]),
+    )
 
 
 def coherence_stress_family(

@@ -22,7 +22,7 @@ long-lived server actually meets:
   as ``SupervisorPolicy.with_budget``: chunk attempts are capped at it,
   no retry or bisection round starts past it, and an overdue chunk is
   killed — a slow test can never pin a request beyond its budget.
-* **Concurrency** — concurrent requests for the same (kind, model,
+* **Concurrency** — concurrent requests for the same (kind, models,
   strategy) are **micro-batched**: the dispatcher coalesces queued
   items into campaign chunks on the warm pool and streams each item's
   JSON result line back the moment its batch lands.
@@ -85,12 +85,12 @@ _COUNTER_NAMES = (
 class _Item:
     """One admitted unit of work: a single test plus its bookkeeping."""
 
-    __slots__ = ("kind", "test", "model", "strategy", "deadline", "future")
+    __slots__ = ("kind", "test", "models", "strategy", "deadline", "future")
 
-    def __init__(self, kind, test, model, strategy, deadline, future):
+    def __init__(self, kind, test, models, strategy, deadline, future):
         self.kind = kind  # "verdict" | "repair" | "compare"
         self.test = test
-        self.model = model  # a name, or a pair of names for "compare"
+        self.models = models  # model names: one, or a pair for "compare"
         self.strategy = strategy  # None for verdicts — batches group on it
         self.deadline = deadline  # absolute time.monotonic()
         self.future = future
@@ -309,51 +309,47 @@ class VerdictService:
         return (test_fingerprint(test), model)
 
     def _cached_outcome(
-        self, kind: str, test: LitmusTest, model
+        self, kind: str, test: LitmusTest, models: Tuple[str, ...]
     ) -> Optional[Dict[str, Any]]:
         """A ready-made ``ok`` outcome for *test* when the verdict cache
-        already knows it — both models' verdicts for a comparison pair.
-        Repairs never memoize (reports are strategy-bound)."""
+        already knows its verdict under every one of *models*.  Repairs
+        never memoize (reports are strategy-bound)."""
         cache = self._verdict_cache
         if cache is None or kind == "repair":
             return None
-        stats = self._verdict_cache_stats
-        if kind == "verdict":
-            verdict = cache.get(self._memo_key(test, model))
-            if verdict is None:
-                stats.miss()
-                return None
-            stats.hit()
-            return {
-                "test": test.name,
-                "status": "ok",
-                "mode": "cache",
-                "verdict": verdict,
-            }
-        verdicts = {}
-        for name in model:
+        verdicts = []
+        for name in models:
             verdict = cache.get(self._memo_key(test, name))
             if verdict is None:
-                stats.miss()
+                self._verdict_cache_stats.miss()
                 return None
-            verdicts[name] = verdict
-        stats.hit()
-        return {
-            "test": test.name,
-            "status": "ok",
-            "mode": "cache",
-            "verdicts": verdicts,
-        }
+            verdicts.append(verdict)
+        self._verdict_cache_stats.hit()
+        return self._verdict_line(kind, test.name, models, verdicts, "cache")
 
     def _memoize(self, item: _Item, outcome: Dict[str, Any]) -> None:
         cache = self._verdict_cache
-        if cache is None or outcome.get("status") != "ok":
+        if cache is None or item.kind == "repair" or outcome.get("status") != "ok":
             return
         if item.kind == "verdict":
-            cache[self._memo_key(item.test, item.model)] = outcome["verdict"]
-        elif item.kind == "compare":
-            for name, verdict in outcome["verdicts"].items():
-                cache[self._memo_key(item.test, name)] = verdict
+            verdicts = {item.models[0]: outcome["verdict"]}
+        else:
+            verdicts = outcome["verdicts"]
+        for name, verdict in verdicts.items():
+            cache[self._memo_key(item.test, name)] = verdict
+
+    @staticmethod
+    def _verdict_line(
+        kind: str, test_name: str, models, verdicts, mode: str
+    ) -> Dict[str, Any]:
+        """An ``ok`` verdict line: ``verdict`` for a ``/verdict`` item,
+        ``verdicts`` keyed by model name for a ``/compare`` item."""
+        line: Dict[str, Any] = {"test": test_name, "status": "ok", "mode": mode}
+        if kind == "verdict":
+            line["verdict"] = verdicts[0]
+        else:
+            line["verdicts"] = dict(zip(models, verdicts))
+        return line
 
     # -- admission ----------------------------------------------------------------
 
@@ -364,7 +360,7 @@ class VerdictService:
         self,
         kind: str,
         tests: List[LitmusTest],
-        model: str,
+        models: Tuple[str, ...],
         strategy: Optional[str],
         budget: float,
         client: Optional[str] = None,
@@ -376,7 +372,7 @@ class VerdictService:
             )
         # Memoized verdicts answer from the cache without ever entering
         # the queue, so only the misses compete for admission capacity.
-        cached = [self._cached_outcome(kind, test, model) for test in tests]
+        cached = [self._cached_outcome(kind, test, models) for test in tests]
         miss_count = sum(1 for outcome in cached if outcome is None)
         # Per-client fairness first: a greedy client is told it (and
         # only it) is over quota even while the global queue has room.
@@ -406,7 +402,7 @@ class VerdictService:
         items = []
         misses = []
         for test, outcome in zip(tests, cached):
-            item = _Item(kind, test, model, strategy, deadline, loop.create_future())
+            item = _Item(kind, test, models, strategy, deadline, loop.create_future())
             items.append(item)
             if outcome is not None:
                 item.future.set_result(outcome)
@@ -479,11 +475,11 @@ class VerdictService:
             # The tightest deadline picks the batch key; everything
             # compatible rides along, earliest deadlines first.
             head = min(self._queue, key=lambda item: item.deadline)
-            key = (head.kind, head.model, head.strategy)
+            key = (head.kind, head.models, head.strategy)
             group = [
                 item
                 for item in sorted(self._queue, key=lambda item: item.deadline)
-                if (item.kind, item.model, item.strategy) == key
+                if (item.kind, item.models, item.strategy) == key
             ][: cfg.max_batch]
             for item in group:
                 self._queue.remove(item)
@@ -550,7 +546,7 @@ class VerdictService:
 
             result = repair_family(
                 tests,
-                head.model,
+                head.models[0],
                 pool=session.pool(),
                 cache=session.cycle_cache,
                 context_cache=session.context_cache,
@@ -558,12 +554,9 @@ class VerdictService:
                 policy=policy,
                 errors=errors,
             )
-            survivors = list(result.reports)
+            survivors = [(report.test_name, report) for report in result.reports]
 
-            def name_of(report) -> str:
-                return report.test_name
-
-            def render(report) -> Dict[str, Any]:
+            def render(item: _Item, report) -> Dict[str, Any]:
                 return {
                     "test": report.test_name,
                     "status": "ok",
@@ -571,36 +564,8 @@ class VerdictService:
                     "report": report.to_dict(),
                 }
 
-        elif head.kind == "compare":
-            from repro.campaign import runner as campaign_runner
-            from repro.campaign.jobs import VerdictPairJob, verdict_pair_chunk
-
-            survivors = list(
-                campaign_runner.run_sharded(
-                    verdict_pair_chunk,
-                    [
-                        VerdictPairJob(test, head.model, session.engine)
-                        for test in tests
-                    ],
-                    pool=session.pool(),
-                    policy=policy,
-                    errors=errors,
-                )
-            )
-
-            def name_of(pair) -> str:
-                return pair[0]
-
-            def render(pair) -> Dict[str, Any]:
-                return {
-                    "test": pair[0],
-                    "status": "ok",
-                    "mode": "pooled",
-                    "verdicts": dict(zip(head.model, pair[1])),
-                }
-
         else:
-            # run_sharded directly (not sweep_family): the family helper
+            # run_sharded directly (not paired_verdicts): the driver
             # shortcuts single-test batches to serial in-process, which
             # would bypass chunk supervision — the pool must own every
             # pooled item so deadlines and quarantine always apply.
@@ -610,47 +575,38 @@ class VerdictService:
             survivors = list(
                 campaign_runner.run_sharded(
                     verdict_chunk,
-                    [
-                        VerdictJob(test, head.model, session.engine)
-                        for test in tests
-                    ],
+                    [VerdictJob(test, head.models, session.engine) for test in tests],
                     pool=session.pool(),
                     policy=policy,
                     errors=errors,
                 )
             )
 
-            def name_of(pair) -> str:
-                return pair[0]
-
-            def render(pair) -> Dict[str, Any]:
-                return {
-                    "test": pair[0],
-                    "status": "ok",
-                    "mode": "pooled",
-                    "verdict": pair[1],
-                }
+            def render(item: _Item, verdicts) -> Dict[str, Any]:
+                return self._verdict_line(
+                    item.kind, item.test.name, item.models, verdicts, "pooled"
+                )
 
         session.last_errors.extend(errors)
-        return self._align(group, survivors, name_of, render, errors)
+        return self._align(group, survivors, render, errors)
 
     @staticmethod
     def _align(
         group: List[_Item],
-        survivors: List[Any],
-        name_of: Callable[[Any], str],
-        render: Callable[[Any], Dict[str, Any]],
+        survivors: List[Tuple[str, Any]],
+        render: Callable[[_Item, Any], Dict[str, Any]],
         errors: List[Any],
     ) -> List[Dict[str, Any]]:
-        """Zip survivors (submission order) and quarantines back onto
-        the group, one outcome per item."""
+        """Zip survivors (``(test name, result)`` pairs in submission
+        order) and quarantines back onto the group, one outcome per
+        item."""
         remaining = list(errors)
         outcomes: List[Dict[str, Any]] = []
         index = 0
         for item in group:
             name = item.test.name
-            if index < len(survivors) and name_of(survivors[index]) == name:
-                outcomes.append(render(survivors[index]))
+            if index < len(survivors) and survivors[index][0] == name:
+                outcomes.append(render(item, survivors[index][1]))
                 index += 1
                 continue
             failed = next((f for f in remaining if f.item == name), None)
@@ -700,7 +656,7 @@ class VerdictService:
             try:
                 if item.kind == "repair":
                     report = self.session.repair(
-                        item.test, model=item.model, strategy=item.strategy
+                        item.test, model=item.models[0], strategy=item.strategy
                     )
                     outcomes.append(
                         {
@@ -710,28 +666,15 @@ class VerdictService:
                             "report": report.to_dict(),
                         }
                     )
-                elif item.kind == "compare":
-                    verdicts = {
-                        model: self.session.verdict(item.test, model=model)
-                        for model in item.model
-                    }
-                    outcomes.append(
-                        {
-                            "test": name,
-                            "status": "ok",
-                            "mode": "serial",
-                            "verdicts": verdicts,
-                        }
-                    )
                 else:
-                    verdict = self.session.verdict(item.test, model=item.model)
+                    verdicts = [
+                        self.session.verdict(item.test, model=model)
+                        for model in item.models
+                    ]
                     outcomes.append(
-                        {
-                            "test": name,
-                            "status": "ok",
-                            "mode": "serial",
-                            "verdict": verdict,
-                        }
+                        self._verdict_line(
+                            item.kind, name, item.models, verdicts, "serial"
+                        )
                     )
             except Exception as exc:  # noqa: BLE001 — degraded mode must answer
                 outcomes.append(
@@ -858,14 +801,8 @@ class VerdictService:
             self._count("requests")
             kind = path[1:]
             tests, model, strategy, budget = self._parse_submission(request, kind)
-            # Fairness identity: the client's self-declared id when it
-            # sends one (ServiceClient always does — one id across all
-            # of its connections), else the peer address.
-            peername = writer.get_extra_info("peername")
-            client = request.headers.get("x-client-id") or (
-                peername[0] if isinstance(peername, tuple) else None
-            )
-            items = self._admit(kind, tests, model, strategy, budget, client)
+            client = self._client_of(request, writer)
+            items = self._admit(kind, tests, (model,), strategy, budget, client)
             await streaming.start(200, keep_alive=keep_alive)
             for item in items:
                 outcome = await self._await_item(item)
@@ -881,10 +818,7 @@ class VerdictService:
             corpus, truncated = await asyncio.get_running_loop().run_in_executor(
                 None, self._compare_corpus, budget, limit
             )
-            peername = writer.get_extra_info("peername")
-            client = request.headers.get("x-client-id") or (
-                peername[0] if isinstance(peername, tuple) else None
-            )
+            client = self._client_of(request, writer)
             items = self._admit("compare", corpus, models, None, deadline, client)
             await streaming.start(200, keep_alive=keep_alive)
             from repro.compare.corpus import event_count
@@ -914,6 +848,16 @@ class VerdictService:
             await streaming.finish()
             return
         raise HttpError(404, f"no such endpoint: {path}")
+
+    @staticmethod
+    def _client_of(request: Request, writer) -> Optional[str]:
+        """Fairness identity: the client's self-declared id when it
+        sends one (ServiceClient always does — one id across all of its
+        connections), else the peer address."""
+        peername = writer.get_extra_info("peername")
+        return request.headers.get("x-client-id") or (
+            peername[0] if isinstance(peername, tuple) else None
+        )
 
     @staticmethod
     async def _await_item(item: _Item) -> Dict[str, Any]:
@@ -953,12 +897,7 @@ class VerdictService:
                 if isinstance(self.session.model, str)
                 else "power"
             )
-        if not isinstance(model, str):
-            raise HttpError(400, '"model" must be a model name string')
-        try:
-            self.session.resolve(model)
-        except Exception as exc:
-            raise HttpError(400, f"unknown model {model!r}: {exc}") from None
+        model = self._resolve_model_name(model)
 
         strategy = payload.get("strategy") if kind == "repair" else None
         if strategy is not None and strategy not in ("greedy", "ilp"):
@@ -967,7 +906,7 @@ class VerdictService:
         budget = self._parse_deadline(payload)
 
         tests = [self._resolve_test(spec) for spec in specs]
-        return tests, model.lower(), strategy, budget
+        return tests, model, strategy, budget
 
     def _parse_deadline(self, payload: Dict[str, Any]) -> float:
         budget = payload.get("deadline", self.config.default_deadline)
@@ -1026,7 +965,7 @@ class VerdictService:
                 dependencies=bool(spec.get("dependencies", True)),
                 include_registry=bool(spec.get("registry", True)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HttpError(400, f"bad comparison budget: {exc}") from None
 
         limit = spec.get("limit")

@@ -74,6 +74,8 @@ class Request:
             return json.loads(self.body)
         except (ValueError, UnicodeDecodeError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise HttpError(400, "request body nests JSON too deeply") from None
 
 
 async def read_request(

@@ -21,6 +21,7 @@ import pytest
 
 from repro.campaign import faults
 from repro.campaign.faults import FaultSpec
+from repro.compare.corpus import CorpusBudget, comparison_corpus
 from repro.litmus.registry import get_test
 from repro.service import (
     CLOSED,
@@ -44,6 +45,9 @@ X86 sb
  mov r2,[y]  | mov r2,[x]  ;
 exists (0:r2=0 /\\ 1:r2=0)
 """
+
+#: A JSON body nesting deeper than ``json.loads`` can recurse.
+DEEPLY_NESTED = b"[" * 100_000 + b"]" * 100_000
 
 #: Fast-converging supervision for the injected-fault tests.
 FAST_SESSION = dict(max_retries=1, retry_backoff=0.01)
@@ -263,8 +267,10 @@ def test_http_error_paths():
             "POST", "/repair", body=b'{"tests": ["sb"], "strategy": "magic"}'
         )
         assert response.status == 400
+        response = client._request("POST", "/verdict", body=DEEPLY_NESTED)
+        assert response.status == 400
         counters = client.stats()["service"]["counters"]
-        assert counters["http_errors"] >= 7
+        assert counters["http_errors"] >= 8
 
 
 # -- backpressure and deadlines --------------------------------------------------
@@ -723,6 +729,32 @@ def test_compare_rejects_bad_requests():
             body=b'{"models": ["tso", "power"], "budget": {"bogus": 1}}',
         )
         assert response.status == 400
+        # Budget numbers JSON reads as infinity, and a body too deeply
+        # nested to parse, are client errors too.
+        for body in (
+            b'{"models": ["tso", "power"], "budget": {"events": 1e999}}',
+            b'{"models": ["tso", "power"], "budget": {"threads": Infinity}}',
+            DEEPLY_NESTED,
+        ):
+            assert bad._request("POST", "/compare", body=body).status == 400
+
+
+def test_compare_quarantines_a_poison_test_and_answers_the_rest():
+    corpus = comparison_corpus(CorpusBudget(max_events=4))[:3]
+    poison = corpus[1].name
+    faults.install(FaultSpec("raise", poison))  # workers only
+    with make_service() as handle:
+        client = ServiceClient(*handle.address)
+        response = client.compare("tso", "power", deadline=120.0, events=4, limit=3)
+        assert response.ok
+        lines = response.results[:-1]
+        assert [line["test"] for line in lines] == [test.name for test in corpus]
+        statuses = {line["test"]: line["status"] for line in lines}
+        assert statuses.pop(poison) == "quarantined"
+        assert set(statuses.values()) == {"ok"}
+        (quarantined,) = [line for line in lines if line["test"] == poison]
+        assert quarantined["error"]["phase"] == "verdict_chunk"
+        assert response.summary["answered"] == 2
 
 
 def test_verdict_memoization_survives_requests_and_is_observable():
