@@ -8,38 +8,50 @@ A verdict or simulation query splits into two halves:
    fixed relations (po, addr/data/ctrl, fences) and the per-combination
    plan (:class:`~repro.herd.optimal.OptimalPlan`) with its solved
    per-location walks;
-2. a **back half** — the plan walk plus the model's axiom checks — that
-   depends on the model.
+2. a **back half** — the plan walk plus the model's axiom checks.  Only
+   the checks depend on the model: which leaves a verdict walk reaches
+   and the executions it builds for them do not.
 
-The front half is roughly half the cost of a verdict query and is
-*model-independent*, so repeated queries against the same test — the
-fence escalation loop's re-validations, Sec. 8.2-style model
-comparisons, Tab. IX engine re-runs, a chip population simulating one
-test under several implementation models — redo it for nothing.  A
-:class:`SimulationContext` memoizes it per test; a :class:`ContextCache`
-keys contexts by *structural* test identity, so a test spliced by the
-fence-repair pipeline (new fences, new dependency instructions) never
-hits the original's entry: stale relations are unreachable by
-construction.
+That model-independent work is most of a verdict query, so repeated
+queries against the same test — the fence escalation loop's
+re-validations, Sec. 8.2-style model comparisons, Tab. IX engine
+re-runs, a chip population simulating one test under several
+implementation models — would redo it for nothing.  A
+:class:`SimulationContext` memoizes it per test: the front half, and
+per plan the target-matching leaves its verdict walks materialized,
+each with one :class:`~repro.core.execution.Execution` that every
+model then checks.  A :class:`ContextCache` keys contexts by
+*structural* test identity, so a test spliced by the fence-repair
+pipeline (new fences, new dependency instructions) never hits the
+original's entry: stale relations are unreachable by construction.
+Below the contexts, the cache keeps the thread paths of each distinct
+thread program, which the diy families and spliced tests share widely.
 
 Contexts build lazily at per-combination granularity: a verdict-only
 query against a register-only ``exists`` clause interns only the
 combinations that can witness the target (mirroring
 :func:`repro.herd.optimal.target_plans`), and a later full run completes
-the remaining combinations on demand.
+the remaining combinations on demand.  Whatever a context keeps goes
+when the cache evicts it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.herd.enumerate import CombinationContext, _thread_paths, combination_context
 from repro.herd.optimal import OptimalPlan, combination_matches_target
 from repro.litmus.ast import LitmusTest
+from repro.util.caches import BoundedTTLCache
 
 Fingerprint = Tuple
+
+#: Entries of each :class:`ContextCache`'s thread-path cache.  The
+#: registry and the diy families reuse a few thread shapes: a sweep of
+#: all 1,972 tests looks up 5,771 threads but only 220 distinct keys.
+PATH_CACHE_ENTRIES = 1024
 
 
 def test_fingerprint(test: LitmusTest) -> Fingerprint:
@@ -80,27 +92,36 @@ class SimulationContext:
     Thread paths, per-combination :class:`CombinationContext` objects
     and per-variant :class:`OptimalPlan` objects are built on first use
     and reused by every subsequent query — under any model, since none
-    of them depend on one.  A cached plan keeps its solved per-location
-    walks, so repeated queries skip the exploration; each
-    :meth:`OptimalPlan.leaves` walk carries no other state between
-    calls, so a cached context may serve any number of sequential
-    queries.
+    of them depend on one.  ``path_cache`` (a :class:`ContextCache`
+    hands over its own) shares thread paths with the other contexts of
+    that cache.  A cached plan keeps its solved per-location walks and
+    what its verdict walks found (:meth:`OptimalPlan.target_leaves`), so
+    repeated queries skip the exploration and every model checks the
+    same target-matching executions.  No generator outlives the query
+    that opened it, so a cached context may serve any number of
+    sequential queries.
     """
 
-    __slots__ = ("test", "_paths", "_combinations", "_locations", "_contexts", "_plans")
+    __slots__ = (
+        "test", "_paths", "_combinations", "_locations", "_contexts", "_plans",
+        "_path_cache", "_targets",
+    )
 
-    def __init__(self, test: LitmusTest):
+    def __init__(self, test: LitmusTest, path_cache: Optional[BoundedTTLCache] = None):
         self.test = test
-        self._paths: Optional[List] = None
+        self._paths: Optional[List[Sequence]] = None
         self._combinations: Optional[Tuple] = None
         self._locations: Optional[set] = None
         self._contexts: Dict[int, CombinationContext] = {}
         self._plans: Dict[Tuple[str, str, int], OptimalPlan] = {}
+        self._path_cache = path_cache
+        #: indices of the combinations that can witness the target.
+        self._targets: Optional[Tuple[int, ...]] = None
 
     def combinations(self) -> Tuple:
         """All choices of per-thread paths (enumerated once)."""
         if self._combinations is None:
-            self._paths = _thread_paths(self.test)
+            self._paths = _thread_paths(self.test, cache=self._path_cache)
             self._combinations = tuple(itertools.product(*self._paths))
             self._locations = set(self.test.locations())
         return self._combinations
@@ -144,11 +165,15 @@ class SimulationContext:
         """Plans of the combinations that could witness the target — the
         cached analogue of :func:`repro.herd.optimal.target_plans`,
         filtering with the same register-atom predicate."""
-        condition = self.test.condition
-        assert condition is not None, "target_plans needs a final condition"
-        for index, combination in enumerate(self.combinations()):
-            if not combination_matches_target(combination, condition):
-                continue
+        if self._targets is None:
+            condition = self.test.condition
+            assert condition is not None, "target_plans needs a final condition"
+            self._targets = tuple(
+                index
+                for index, combination in enumerate(self.combinations())
+                if combination_matches_target(combination, condition)
+            )
+        for index in self._targets:
             yield self.plan(variant, index, engine)
 
 
@@ -163,6 +188,12 @@ class ContextCache:
     *idle* bound for long-lived owners like the verdict service: an
     entry untouched for ``ttl`` seconds counts as evicted and is rebuilt
     on its next use.  ``hits``/``misses`` feed the benchmarks.
+
+    The cache also owns :attr:`path_cache`, the thread paths of every
+    distinct thread program its contexts have met (at most
+    :data:`PATH_CACHE_ENTRIES`, with the same ``ttl``).  A spliced test
+    re-enumerates only the threads the splice changed.  Like the
+    contexts, the paths stay in the process that built them.
     """
 
     def __init__(self, capacity: Optional[int] = 256, ttl: Optional[float] = None):
@@ -179,6 +210,11 @@ class ContextCache:
         #: counters on the unified interface; ``hits``/``misses``/
         #: ``evictions`` remain readable as attributes (backcompat).
         self._stats = CacheStats("context", entries=lambda: len(self._entries))
+        self.path_cache = BoundedTTLCache(
+            max_entries=PATH_CACHE_ENTRIES,
+            ttl=ttl,
+            stats=CacheStats("paths", entries=lambda: len(self.path_cache)),
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -222,7 +258,7 @@ class ContextCache:
             self._stamps[key] = now
             return context
         self._stats.miss()
-        context = SimulationContext(test)
+        context = SimulationContext(test, path_cache=self.path_cache)
         self._entries[key] = context
         self._stamps[key] = now
         if self.capacity is not None and len(self._entries) > self.capacity:
@@ -240,6 +276,7 @@ class ContextCache:
     def clear(self) -> None:
         self._entries.clear()
         self._stamps.clear()
+        self.path_cache.clear()
 
     def cache_stats(self):
         """The cache's :class:`repro.telemetry.CacheStats`."""

@@ -27,7 +27,7 @@ import sys
 from typing import List, Optional
 
 from repro.compare.corpus import CorpusBudget, event_count
-from repro.herd.simulator import ENGINE_ALIASES, ENGINES
+from repro.herd.simulator import ENGINES
 
 
 def _processes(value: str):
@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default="optimal",
-        choices=ENGINES + tuple(ENGINE_ALIASES),
-        help="enumeration engine (auto and pruning are deprecated aliases of optimal)",
+        choices=ENGINES,
+        help="enumeration engine: the planned optimal engine or the naive oracle",
     )
     parser.add_argument(
         "--processes",

@@ -83,15 +83,35 @@ class Candidate:
 
 
 def _thread_paths(
-    test: LitmusTest, value_domain: Optional[Sequence[int]] = None
-) -> List[List[ThreadExecution]]:
-    domain = list(value_domain) if value_domain is not None else value_domain_of(test)
-    paths: List[List[ThreadExecution]] = []
+    test: LitmusTest, value_domain: Optional[Sequence[int]] = None, cache=None
+) -> List[Sequence[ThreadExecution]]:
+    """Per thread of *test*, every path over the value domain.
+
+    A thread's paths depend on its index, instructions, initial
+    registers and the value domain alone.  With a *cache* (a
+    :class:`~repro.util.caches.BoundedTTLCache` whose ``stats`` count
+    the lookups), each distinct thread program is enumerated once and
+    its paths, a tuple, are shared read-only by every test containing it.
+    """
+    domain = tuple(value_domain) if value_domain is not None else tuple(value_domain_of(test))
+    paths: List[Sequence[ThreadExecution]] = []
     for index, instructions in enumerate(test.threads):
         init_registers = thread_init_registers(test, index)
-        paths.append(
-            enumerate_thread_paths(index, instructions, init_registers, domain)
-        )
+        if cache is None:
+            paths.append(
+                enumerate_thread_paths(index, instructions, init_registers, domain)
+            )
+            continue
+        key = (index, tuple(instructions), tuple(sorted(init_registers.items())), domain)
+        found = cache.get(key)
+        if found is None:
+            cache.stats.miss()
+            found = cache[key] = tuple(
+                enumerate_thread_paths(index, instructions, init_registers, domain)
+            )
+        else:
+            cache.stats.hit()
+        paths.append(found)
     return paths
 
 

@@ -64,6 +64,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro import telemetry as _telemetry
 from repro.core.bitrel import iter_bits, rows_inverse
 from repro.core.events import Event
+from repro.core.execution import Execution
 from repro.herd.enumerate import (
     Candidate,
     CombinationContext,
@@ -100,11 +101,28 @@ class SurvivingLeaf:
         self.orders = orders
         self.outcome = outcome
 
-    def candidate(self) -> Candidate:
-        return self.context.candidate(
+    def execution(self) -> Execution:
+        return self.context.execution(
             self.context.rf_relation(self.assignment),
             self.context.co_relation(self.orders),
         )
+
+    def candidate(self) -> Candidate:
+        return Candidate(
+            execution=self.execution(),
+            final_registers=dict(self.context.final_registers),
+        )
+
+
+def outcome_satisfies(condition, outcome: Outcome) -> bool:
+    """Does an outcome (projected final state) satisfy every atom of
+    *condition*?"""
+    observed = dict(outcome)
+    for atom in condition.atoms:
+        key = f"{atom.thread}:{atom.name}" if atom.kind == "reg" else atom.name
+        if observed.get(key) != atom.value:
+            return False
+    return True
 
 
 def sc_per_location_rows(context: CombinationContext, variant: str) -> List[int]:
@@ -300,6 +318,15 @@ class OptimalPlan:
     per-location canonical walks.  The per-location solve runs once per
     plan and is reused by later walks (the plan, like the context, is
     model-independent).
+
+    Verdict queries share more.  The plan remembers whether its outcome
+    universe meets the target (:meth:`meets_target`) and the
+    target-matching leaves its verdict walks have materialized so far,
+    each with one :class:`~repro.core.execution.Execution`
+    (:meth:`target_leaves`).  Every model's verdict then checks the
+    same executions, whose rf/co-derived relations (``fr``, ``com``,
+    ``rfe``, ``rdw``, ``detour``) are derived once.
+    Full summaries stream :meth:`leaves` and keep none of this.
     """
 
     def __init__(
@@ -324,6 +351,14 @@ class OptimalPlan:
         self.dead_ends = 0
         self._solutions: Optional[List[List[LocationSolution]]] = None
         self._read_positions: Optional[List[List[int]]] = None
+        #: the verdict walks' shared state: whether the outcome universe
+        #: meets the target, the target-matching leaves kept so far as
+        #: ``(position in the walk, outcome, execution)``, how many
+        #: leaves the walks have passed, and whether one reached the end.
+        self._meets_target: Optional[bool] = None
+        self._target_leaves: List[Tuple[int, Outcome, Execution]] = []
+        self._passed = 0
+        self._walk_done = False
 
     # -- outcome universe ---------------------------------------------------------
 
@@ -511,21 +546,80 @@ class OptimalPlan:
                 explored += 1
                 yield SurvivingLeaf(context, assignment, tuple(orders), outcome)
         finally:
-            # Publish even when the consumer breaks out early (the
-            # verdict fast path closes the generator on first witness):
-            # closing raises GeneratorExit through the yield above.  The
-            # solve statistics are published per walk, cached solve or
-            # not, so the counters depend on the queries alone and
-            # sharded totals equal serial ones whatever each process
-            # had cached.
-            self.explored = explored
-            registry = _telemetry._ACTIVE
-            if registry is not None:
-                registry.count("engine.walks")
-                registry.count("engine.explored", explored)
-                registry.count("engine.extension_steps", self.extension_steps)
-                registry.count("engine.revisits", self.revisits)
-                registry.count("engine.dead_ends", self.dead_ends)
+            # Publish even when the consumer breaks out early: closing
+            # raises GeneratorExit through the yield above.
+            self._publish(explored)
+
+    def _publish(self, explored: int) -> None:
+        """Record one walk that passed *explored* leaves.  The solve
+        statistics are published per walk, cached solve or not, so the
+        counters depend on the queries alone and sharded totals equal
+        serial ones whatever each process had cached."""
+        self.explored = explored
+        registry = _telemetry._ACTIVE
+        if registry is not None:
+            registry.count("engine.walks")
+            registry.count("engine.explored", explored)
+            registry.count("engine.extension_steps", self.extension_steps)
+            registry.count("engine.revisits", self.revisits)
+            registry.count("engine.dead_ends", self.dead_ends)
+
+    # -- the shared verdict walk --------------------------------------------------
+
+    def meets_target(self) -> bool:
+        """Can any outcome of this combination satisfy the test's
+        condition?  Computed once; a verdict query never walks a plan
+        whose outcome universe misses the target."""
+        if self._meets_target is None:
+            condition = self.test.condition
+            self._meets_target = any(
+                outcome_satisfies(condition, outcome) for outcome in self.all_outcomes()
+            )
+        return self._meets_target
+
+    def target_leaves(self) -> Iterator[Tuple[Outcome, Execution]]:
+        """The target-matching leaves in walk order, each as
+        ``(outcome, execution)``, for a verdict query to check until the
+        first allowed one.
+
+        The leaves kept by earlier verdict walks come first, with the
+        very executions earlier queries checked.  Past them, a fresh
+        :meth:`leaves` walk (looked up on the instance) skips the leaves
+        already passed and keeps each new match.  No generator is kept
+        between calls.  Each call publishes the counters of exactly one
+        :meth:`leaves` walk stopped where this one stops, as the
+        unshared walk did.
+        """
+        condition = self.test.condition
+        explored = 0
+        walk = None
+        try:
+            for position, outcome, execution in self._target_leaves:
+                explored = position + 1
+                yield outcome, execution
+            if self._walk_done:
+                explored = self._passed
+                return
+            walk = self.leaves(True)
+            for position, leaf in enumerate(walk):
+                if position < self._passed:
+                    continue
+                matches = outcome_satisfies(condition, leaf.outcome)
+                if matches:
+                    self._target_leaves.append(
+                        (position, leaf.outcome, leaf.execution())
+                    )
+                # Passed only once kept: a failed materialization leaves
+                # the shared state as it was.
+                self._passed = position + 1
+                if matches:
+                    yield leaf.outcome, self._target_leaves[-1][2]
+            self._walk_done = True
+        finally:
+            if walk is not None:
+                walk.close()  # the walk publishes its own counters
+            else:
+                self._publish(explored)
 
     def survivors(
         self, with_outcomes: bool = True

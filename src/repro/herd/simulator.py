@@ -27,8 +27,6 @@ Two enumeration engines sit underneath (selected by ``engine=``):
   queries the planned engine does not serve (``keep_candidates``,
   duck-typed and cat models whose axiom set is unknown).
 
-``"auto"`` and ``"pruning"`` are deprecated aliases of ``"optimal"``.
-
 ``run(..., until="target")`` is the verdict-only fast path: enumeration
 stops the moment the target outcome is proven reachable, and model
 checks are skipped for candidates whose outcome cannot match the
@@ -42,15 +40,17 @@ expensive front half of the pipeline — thread-path enumeration, event
 interning, the fixed relations and the plans with their solved
 per-location walks — is then reused instead of rebuilt.  The context is
 model-independent, so one context serves verdict queries under any
-number of models.  For process-level fan-out the campaign runtime ships
-picklable job specs (the litmus test plus a model *name*) and
-re-hydrates both the model and the context inside the worker; see
-:mod:`repro.campaign`.
+number of models, and so is most of a verdict's back half: each plan
+keeps the target-matching executions its verdict walks materialized
+(:meth:`repro.herd.optimal.OptimalPlan.target_leaves`), and a later
+model's verdict only runs its own check over them.  For process-level
+fan-out the campaign runtime ships picklable job specs (the litmus test
+plus a model *name*) and re-hydrates both the model and the context
+inside the worker; see :mod:`repro.campaign`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple, Union
 
@@ -67,10 +67,6 @@ Outcome = Tuple[Tuple[str, int], ...]
 ModelLike = Union[str, Architecture, Model]
 
 ENGINES = ("optimal", "naive")
-
-#: Deprecated engine names, accepted for one release: both now run the
-#: planned (optimal) engine.
-ENGINE_ALIASES = {"auto": "optimal", "pruning": "optimal"}
 
 #: Same-location write bursts of at least this many stores mark the
 #: coherence-heavy inputs whose rf×co grid explodes.  Only the
@@ -193,18 +189,10 @@ class Simulator:
     planned engine, constructing each consistent execution exactly
     once) or ``"naive"`` (the reference cross product).  ``"optimal"``
     falls back to ``"naive"`` for queries only the oracle serves
-    (``keep_candidates``, duck-typed and cat models).  The deprecated
-    names ``"auto"`` and ``"pruning"`` mean ``"optimal"``.
+    (``keep_candidates``, duck-typed and cat models).
     """
 
     def __init__(self, model: ModelLike, engine: str = "optimal"):
-        if engine in ENGINE_ALIASES:
-            warnings.warn(
-                f"engine={engine!r} is a deprecated alias of 'optimal'",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            engine = ENGINE_ALIASES[engine]
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
         self.model = resolve_model(model)
@@ -284,7 +272,11 @@ class Simulator:
     ) -> SimulationResult:
         """The planned engine's driver: plans yield only
         uniproc-consistent leaves with full-grid summary counts, so each
-        leaf is checked with ``assume_sc_per_location=True``."""
+        leaf is checked with ``assume_sc_per_location=True``.
+
+        A verdict query walks each plan's shared target leaves
+        (:meth:`~repro.herd.optimal.OptimalPlan.target_leaves`) and only
+        runs the model's check; a full summary streams every leaf."""
         check = self.model.check
         allowed_outcomes: set = set()
         all_outcomes: set = set()
@@ -309,49 +301,39 @@ class Simulator:
         plans_skipped = 0
         for plan in plan_source:
             num_candidates += plan.total
-            if verdict_only:
-                # A combination whose entire outcome universe misses the
-                # target cannot witness reachability: skip its walk.  For
-                # register-only conditions (the common case) the universe
-                # is a single outcome fixed by the thread paths.
-                if not any(
-                    self._outcome_satisfies(test, outcome)
-                    for outcome in plan.all_outcomes()
-                ):
-                    plans_skipped += 1
-                    continue
-            else:
+            if not verdict_only:
                 all_outcomes |= plan.all_outcomes()
+                plans_walked += 1
+                for leaf in plan.leaves():
+                    result = check(
+                        leaf.execution(), stop_at_first=True, assume_sc_per_location=True
+                    )
+                    if result.allowed:
+                        num_allowed += 1
+                        allowed_outcomes.add(leaf.outcome)
+                continue
+            # A combination whose entire outcome universe misses the
+            # target cannot witness reachability: skip its walk.  For
+            # register-only conditions (the common case) the universe is
+            # a single outcome fixed by the thread paths.
+            if not plan.meets_target():
+                plans_skipped += 1
+                continue
             plans_walked += 1
-            for leaf in plan.leaves():
-                outcome = leaf.outcome
-                matches = (
-                    self._outcome_satisfies(test, outcome)
-                    if test.condition is not None
-                    else False
-                )
-                if verdict_only and not matches:
-                    continue  # cannot witness the target; never materialized
-                result = check(
-                    leaf.candidate().execution,
-                    stop_at_first=True,
-                    assume_sc_per_location=True,
-                )
-                if result.allowed:
+            for outcome, execution in plan.target_leaves():
+                if check(execution, stop_at_first=True, assume_sc_per_location=True).allowed:
                     num_allowed += 1
                     allowed_outcomes.add(outcome)
-                    if matches:
-                        target_found = True
-                        if verdict_only:
-                            break
-            if verdict_only and target_found:
+                    target_found = True
+                    break
+            if target_found:
                 break
 
         registry = _telemetry._ACTIVE
         if registry is not None:
             registry.count("herd.plans_walked", plans_walked)
             registry.count("herd.plans_skipped_by_target", plans_skipped)
-            if verdict_only and target_found:
+            if target_found:
                 registry.count("herd.verdict_early_exits")
         return self._summarise(
             test,
@@ -359,7 +341,7 @@ class Simulator:
             all_outcomes,
             num_candidates,
             num_allowed,
-            partial=verdict_only and target_found,
+            partial=target_found,
         )
 
     # -- naive engine -------------------------------------------------------------
@@ -385,7 +367,7 @@ class Simulator:
             outcome = candidate.outcome(test)
             all_outcomes.add(outcome)
             matches = (
-                self._outcome_satisfies(test, outcome)
+                _optimal.outcome_satisfies(test.condition, outcome)
                 if test.condition is not None
                 else False
             )
@@ -433,14 +415,14 @@ class Simulator:
         target_reachable = False
         condition_holds = True
         if test.condition is not None:
-            any_match = any(
-                self._outcome_satisfies(test, outcome) for outcome in allowed_outcomes
+            matches = [
+                _optimal.outcome_satisfies(test.condition, outcome)
+                for outcome in allowed_outcomes
+            ]
+            target_reachable = any(matches)
+            condition_holds = test.condition.verdict(
+                target_reachable, bool(matches) and all(matches)
             )
-            all_match = bool(allowed_outcomes) and all(
-                self._outcome_satisfies(test, outcome) for outcome in allowed_outcomes
-            )
-            target_reachable = any_match
-            condition_holds = test.condition.verdict(any_match, all_match)
 
         return SimulationResult(
             test=test,
@@ -455,17 +437,6 @@ class Simulator:
             forbidden_candidates=forbidden,
             partial=partial,
         )
-
-    @staticmethod
-    def _outcome_satisfies(test: LitmusTest, outcome: Outcome) -> bool:
-        """Does an outcome (projected final state) satisfy the condition atoms?"""
-        assert test.condition is not None
-        observed = dict(outcome)
-        for atom in test.condition.atoms:
-            key = f"{atom.thread}:{atom.name}" if atom.kind == "reg" else atom.name
-            if observed.get(key) != atom.value:
-                return False
-        return True
 
 
 def simulate(

@@ -48,17 +48,23 @@ class SemanticsError(ValueError):
     """Raised when a thread's program cannot be executed (bad register, label...)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThreadExecution:
-    """One control/data path of one thread."""
+    """One control/data path of one thread.
+
+    Read-only once built: a :class:`~repro.campaign.context.ContextCache`
+    shares the paths of one thread program across every test that
+    contains it, so the sequences are tuples and nothing may mutate the
+    two mappings.
+    """
 
     thread: int
-    memory_events: List[Event]
-    addr: List[Pair]
-    data: List[Pair]
-    ctrl: List[Pair]
-    ctrl_cfence: List[Pair]
-    fences: Dict[str, List[Pair]]
+    memory_events: Tuple[Event, ...]
+    addr: Tuple[Pair, ...]
+    data: Tuple[Pair, ...]
+    ctrl: Tuple[Pair, ...]
+    ctrl_cfence: Tuple[Pair, ...]
+    fences: Dict[str, Tuple[Pair, ...]]
     final_registers: Dict[str, RegisterValue]
     load_values: Tuple[int, ...]
 
@@ -286,12 +292,12 @@ def _run_thread(
 
     return ThreadExecution(
         thread=thread,
-        memory_events=memory_events,
-        addr=addr_pairs,
-        data=data_pairs,
-        ctrl=ctrl_pairs,
-        ctrl_cfence=ctrl_cfence_pairs,
-        fences=fences,
+        memory_events=tuple(memory_events),
+        addr=tuple(addr_pairs),
+        data=tuple(data_pairs),
+        ctrl=tuple(ctrl_pairs),
+        ctrl_cfence=tuple(ctrl_cfence_pairs),
+        fences={name: tuple(pairs) for name, pairs in fences.items()},
         final_registers=dict(registers),
         load_values=tuple(load_values[:load_index]),
     )

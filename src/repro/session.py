@@ -349,9 +349,9 @@ class Session:
 
         * ``caches`` — every cache on the unified
           :class:`~repro.telemetry.CacheStats` interface: the session's
-          resolved-model, context and repair cycle-signature caches,
-          plus the process-wide ILP memo and parsed-cat-model caches
-          when their modules have been imported;
+          resolved-model, context, thread-path and repair
+          cycle-signature caches, plus the process-wide ILP memo and
+          parsed-cat-model caches when their modules have been imported;
         * ``telemetry`` — the session registry's snapshot (counters,
           gauges, histogram summaries, span count), or ``None`` when
           telemetry was never enabled.  After a sharded campaign this
@@ -362,6 +362,7 @@ class Session:
         caches = {
             "model": self._model_stats.as_dict(),
             "context": self.context_cache.cache_stats().as_dict(),
+            "paths": self.context_cache.path_cache.stats.as_dict(),
             "cycle": self._cycle_stats.as_dict(),
         }
         # Process-wide caches, reported only once their module is in —

@@ -63,6 +63,11 @@ class BoundedTTLCache(MutableMapping):
         self._stats = stats
         self._clock = clock
 
+    @property
+    def stats(self) -> Optional[Any]:
+        """The owner-supplied :class:`~repro.telemetry.CacheStats`."""
+        return self._stats
+
     def _evicted(self, amount: int = 1) -> None:
         if self._stats is not None and amount:
             self._stats.evict(amount)

@@ -201,12 +201,12 @@ class _ThreadRunner:
             )
         execution = ThreadExecution(
             thread=self.thread,
-            memory_events=self.memory_events,
-            addr=self.addr,
-            data=self.data,
-            ctrl=self.ctrl,
-            ctrl_cfence=self.ctrl_cfence,
-            fences=fences,
+            memory_events=tuple(self.memory_events),
+            addr=tuple(self.addr),
+            data=tuple(self.data),
+            ctrl=tuple(self.ctrl),
+            ctrl_cfence=tuple(self.ctrl_cfence),
+            fences={name: tuple(pairs) for name, pairs in fences.items()},
             final_registers=dict(self.locals),
             load_values=tuple(self.load_values[: self.load_index]),
         )

@@ -10,12 +10,18 @@ shared cache and evictions land in ``Session.stats()``.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import time
 
 import pytest
 
 from repro.campaign.context import ContextCache
+from repro.campaign.jobs import VerdictJob
+from repro.diy.families import two_thread_family
+from repro.herd.simulator import Simulator
 from repro.litmus.registry import get_test
+from repro.litmus.semantics import thread_init_registers, value_domain_of
 from repro.session import Session
 from repro.telemetry import CacheStats
 from repro.util.caches import BoundedTTLCache
@@ -157,3 +163,81 @@ def test_session_error_ring_is_bounded_and_drops_are_reported():
     session.last_errors.clear()
     # Lifetime counter: visible even after the next batch reset.
     assert session.stats()["supervisor"]["errors_dropped"] == 1
+
+
+# -- the thread-path cache -------------------------------------------------------
+
+
+def _thread_keys(test):
+    """The path-cache key of each thread: (thread index, instructions,
+    initial registers, value domain)."""
+    domain = tuple(value_domain_of(test))
+    return [
+        (index, tuple(thread), tuple(sorted(thread_init_registers(test, index).items())), domain)
+        for index, thread in enumerate(test.threads)
+    ]
+
+
+def test_sweep_enumerates_each_distinct_thread_program_once():
+    tests = two_thread_family("power")
+    session = Session(model="power")
+    session.sweep(tests)
+    caches = session.stats()["caches"]
+    paths = caches["paths"]
+    distinct = {key for test in tests for key in _thread_keys(test)}
+    # Every context built looks up each of its two threads once.
+    lookups = 2 * caches["context"]["misses"]
+    assert 0 < len(distinct) < lookups
+    assert paths["misses"] == len(distinct)
+    assert paths["hits"] == lookups - paths["misses"]
+    assert paths["entries"] == len(distinct)
+    assert paths["evictions"] == 0
+
+
+def test_cached_thread_paths_are_shared_read_only():
+    tests = two_thread_family("power")
+    cache = ContextCache()
+    first = {}
+    shared = 0
+    for test in tests:
+        context = cache.get(test)
+        context.combinations()
+        for key, paths in zip(_thread_keys(test), context._paths):
+            assert isinstance(paths, tuple)
+            # One tuple per distinct thread program, whichever test asks.
+            shared += key in first
+            assert first.setdefault(key, paths) is paths
+    assert shared
+    for paths in cache.path_cache.values():
+        for path in paths:
+            assert isinstance(path.memory_events, tuple)
+            assert isinstance(path.addr, tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                path.memory_events = ()
+
+
+def test_path_cache_ttl_follows_the_context_cache():
+    assert ContextCache(ttl=5.0).path_cache.ttl == 5.0
+    assert ContextCache().path_cache.ttl is None
+
+
+def test_thread_paths_never_cross_a_process_boundary():
+    """Jobs, results and checked executions pickle without the path
+    cache or anything it holds: a worker's cache is its own."""
+    cache = ContextCache()
+    test = get_test("mp")
+    context = cache.get(test)
+    result = Simulator("power").run(test, until="target", context=context)
+    assert len(cache.path_cache) == len(test.threads)
+    executions = [
+        execution
+        for plan in context.target_plans()
+        for _, _, execution in plan._target_leaves
+    ]
+    assert executions
+    for value in [VerdictJob(test, ("power", "arm")), result, *executions]:
+        payload = pickle.dumps(value)
+        for name in (b"BoundedTTLCache", b"CacheStats", b"ThreadExecution",
+                     b"SimulationContext", b"OptimalPlan"):
+            assert name not in payload, (type(value).__name__, name)
+        pickle.loads(payload)

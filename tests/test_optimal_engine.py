@@ -10,9 +10,8 @@ execution exactly once:
   variants, each constructed once;
 * executions-explored == surviving-leaf count (the optimality claim:
   the walk never builds an execution it then discards);
-* simulator summaries (counts, outcome sets, verdicts) agree across
-  ``engine="optimal"``, its deprecated alias ``"pruning"`` and
-  ``"naive"`` for every model;
+* simulator summaries (counts, outcome sets, verdicts) agree between
+  ``engine="optimal"`` and ``"naive"`` for every model;
 * the ``until="target"`` fast path, the campaign context cache, the
   session verbs and sharded sweeps all serve ``engine="optimal"``
   unchanged;
@@ -38,12 +37,12 @@ from repro.diy.families import (
 )
 from repro.herd import optimal as optimal_engine
 from repro.herd.enumerate import candidate_executions, count_candidates
-from repro.herd.simulator import ENGINE_ALIASES, ENGINES, Simulator
+from repro.herd.simulator import ENGINES, Simulator
 from repro.litmus.registry import entries, get_test
 
 MODELS = ("sc", "tso", "power", "arm")
 
-#: Sample for the three-way summary comparison.
+#: Sample for the optimal-vs-naive summary comparison.
 SUMMARY_SAMPLE = (
     "mp", "mp+lwsync+addr", "sb", "sb+syncs", "lb", "lb+addrs", "r", "s",
     "2+2w", "wrc", "wrc+addrs", "rwc", "iriw", "iriw+syncs", "isa2",
@@ -125,31 +124,23 @@ def test_optimal_explores_exactly_the_pruning_survivors(test, variant):
     "test", _sample_tests() + _family_tests()[:6], ids=lambda t: t.name
 )
 def test_summaries_agree_across_all_three_engines(test, model):
-    """``optimal``, its deprecated alias ``pruning`` and ``naive``."""
+    """``optimal`` against the ``naive`` oracle (the third engine,
+    ``pruning``, is gone)."""
     optimal = Simulator(model, engine="optimal").run(test)
-    with pytest.warns(DeprecationWarning):
-        pruning = Simulator(model, engine="pruning").run(test)
     naive = Simulator(model, engine="naive").run(test)
-    for other in (pruning, naive):
-        assert optimal.num_candidates == other.num_candidates
-        assert optimal.num_allowed == other.num_allowed
-        assert optimal.allowed_outcomes == other.allowed_outcomes
-        assert optimal.all_outcomes == other.all_outcomes
-        assert optimal.verdict == other.verdict
-        assert optimal.condition_holds == other.condition_holds
+    assert optimal.to_dict() == naive.to_dict()
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_full_registry_verdicts_agree_with_pruning(model):
-    """Fast-path verdicts of ``optimal`` and its ``pruning`` alias equal
-    the naive oracle's full-run verdicts over the whole registry."""
+    """Fast-path verdicts of ``optimal`` (which only checks the leaves
+    the uniproc pruning keeps) equal the naive oracle's full-run
+    verdicts over the whole registry."""
     optimal = Simulator(model, engine="optimal")
-    with pytest.warns(DeprecationWarning):
-        pruning = Simulator(model, engine="pruning")
     naive = Simulator(model, engine="naive")
     for test in _registry_tests():
         expected = naive.run(test).verdict
-        assert optimal.verdict(test) == pruning.verdict(test) == expected, test.name
+        assert optimal.verdict(test) == expected, test.name
 
 
 # -- fast path, context cache, session and campaign integration ---------------------
@@ -175,13 +166,10 @@ def test_verdict_fast_path_and_context_agree(test, model):
 def test_engine_registry_exposes_optimal():
     assert ENGINES == ("optimal", "naive")
     assert Simulator("sc").engine == "optimal"
-    for alias in ("auto", "pruning"):
-        assert ENGINE_ALIASES[alias] == "optimal"
-        with pytest.warns(DeprecationWarning):
-            assert Simulator("sc", engine=alias).engine == "optimal"
-    for unknown in ("optimally", "bogus"):
+    # The former aliases of "optimal" are unknown names now.
+    for unknown in ("auto", "pruning", "optimally", "bogus"):
         with pytest.raises(ValueError):
-            Simulator("sc", engine=unknown)
+            Simulator("power", engine=unknown)
 
 
 def test_optimal_falls_back_to_naive_for_oracle_queries():

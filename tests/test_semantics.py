@@ -52,7 +52,7 @@ def test_address_dependency_via_xor_index():
     path = _run_thread(0, instructions, {"rAx": "x", "rAy": "y"}, (1, 0))
     first, second = path.memory_events
     assert (first, second) in set(path.addr)
-    assert path.data == [] and path.ctrl == []
+    assert path.data == () and path.ctrl == ()
 
 
 def test_data_dependency_via_xor_and_add():
@@ -133,7 +133,7 @@ def test_fence_relation_spans_surrounding_accesses_only():
     ]
     path = _run_thread(0, instructions, {"rAx": "x", "rAy": "y"}, ())
     first, second = path.memory_events
-    assert path.fences["lwsync"] == [(first, second)]
+    assert path.fences["lwsync"] == ((first, second),)
 
 
 def test_fence_relation_empty_when_leading_or_trailing():
@@ -143,7 +143,7 @@ def test_fence_relation_empty_when_leading_or_trailing():
         {"rAx": "x"},
         (),
     )
-    assert path.fences.get("sync", []) == []
+    assert path.fences.get("sync", ()) == ()
 
 
 def test_backward_branch_rejected():
