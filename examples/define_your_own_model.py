@@ -11,14 +11,21 @@ model.  This example
    relaxation", i.e. SC written in the TSO style — and compares it with
    the built-in models,
 3. shows how easily a model can be weakened: removing the NO THIN AIR
-   check makes load-buffering behaviours appear.
+   check makes load-buffering behaviours appear,
+4. sweeps a diy family under ``power.cat`` on two worker processes: a
+   cat model shards exactly like a built-in one.
 
 Run with::
 
     python examples/define_your_own_model.py
 """
 
+import warnings
+
+from repro import Session
+from repro.campaign import CampaignPicklingWarning
 from repro.cat import load_builtin_model, load_cat_model
+from repro.diy import two_thread_family
 from repro.herd import simulate
 from repro.litmus.registry import get_test
 
@@ -96,9 +103,29 @@ def with_custom_models() -> None:
     print()
 
 
+def sweep_on_workers() -> None:
+    print("== power.cat swept over a diy family by two worker processes")
+    family = two_thread_family("power", limit=24)
+    with warnings.catch_warnings():
+        # A model that cannot be pickled would run in-process with this
+        # warning; power.cat must reach the workers.
+        warnings.simplefilter("error", CampaignPicklingWarning)
+        with Session(model=load_builtin_model("power"), processes=2) as session:
+            swept = session.sweep(family)
+            stats = session.stats()
+    assert stats["pool"]["started"], "the sweep did not start the worker pool"
+    assert stats["supervisor"]["counters"]["unpicklable_payloads"] == 0
+    builtin = Session(model="power").sweep(family)
+    assert swept.verdicts == builtin.verdicts, "power.cat disagrees with power"
+    allowed = sum(verdict == "Allow" for _, verdict in swept.verdicts)
+    print(f"  {len(swept.verdicts)} tests, {allowed} allowed: same as built-in power")
+    print()
+
+
 def main() -> None:
     with_fig38_power()
     with_custom_models()
+    sweep_on_workers()
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ batches of independent simulate/verdict jobs over this one runtime:
   :class:`~repro.campaign.context.SimulationContext` memoization of the
   front half of the pipeline (thread paths, event interning, fixed
   relations, plans), keyed by structural test identity;
-* :mod:`repro.campaign.jobs` — picklable job specs and the per-process
-  warm state (resolved models, simulators, context caches) the workers
-  re-hydrate them with;
+* :mod:`repro.campaign.jobs` — picklable job specs, which carry the
+  caller's models and chips, and each worker's one piece of warm
+  state, its context cache;
 * :mod:`repro.campaign.faults` — deterministic fault injection (worker
   crash/hang/unpicklable-exception at a chosen item), used only by the
   test-suite and benchmarks to pin the fault-tolerance guarantees.

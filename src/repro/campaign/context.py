@@ -29,16 +29,16 @@ thread program, which the diy families and spliced tests share widely.
 
 Contexts build lazily at per-combination granularity: a verdict-only
 query against a register-only ``exists`` clause interns only the
-combinations that can witness the target (mirroring
-:func:`repro.herd.optimal.target_plans`), and a later full run completes
-the remaining combinations on demand.  Whatever a context keeps goes
-when the cache evicts it.
+combinations that can witness the target
+(:func:`repro.herd.optimal.combination_matches_target`), and a later
+full run completes the remaining combinations on demand.  Whatever a
+context keeps goes when the cache evicts it.  A query without a cache
+runs on a throwaway context: there is one source of plans.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.herd.enumerate import CombinationContext, _thread_paths, combination_context
@@ -154,17 +154,17 @@ class SimulationContext:
     def plans(
         self, variant: str = "standard", engine: str = "optimal"
     ) -> Iterator[OptimalPlan]:
-        """Every combination's plan — the cached analogue of
-        :func:`repro.herd.optimal.plans`."""
+        """Every combination's plan, in combination order."""
         for index in range(len(self.combinations())):
             yield self.plan(variant, index, engine)
 
     def target_plans(
         self, variant: str = "standard", engine: str = "optimal"
     ) -> Iterator[OptimalPlan]:
-        """Plans of the combinations that could witness the target — the
-        cached analogue of :func:`repro.herd.optimal.target_plans`,
-        filtering with the same register-atom predicate."""
+        """Plans of the combinations that could witness the target:
+        register atoms of the condition filter whole combinations
+        (:func:`~repro.herd.optimal.combination_matches_target`) before
+        any is interned."""
         if self._targets is None:
             condition = self.test.condition
             assert condition is not None, "target_plans needs a final condition"
@@ -187,7 +187,9 @@ class ContextCache:
     being re-queried.  ``ttl`` (seconds, ``None`` for no expiry) adds an
     *idle* bound for long-lived owners like the verdict service: an
     entry untouched for ``ttl`` seconds counts as evicted and is rebuilt
-    on its next use.  ``hits``/``misses`` feed the benchmarks.
+    on its next use.  Both bounds are a :class:`BoundedTTLCache`'s,
+    keyed by :func:`test_fingerprint`; ``hits``/``misses`` feed the
+    benchmarks.
 
     The cache also owns :attr:`path_cache`, the thread paths of every
     distinct thread program its contexts have met (at most
@@ -199,17 +201,14 @@ class ContextCache:
     def __init__(self, capacity: Optional[int] = 256, ttl: Optional[float] = None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be positive or None, got {capacity}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive or None, got {ttl}")
-        self.capacity = capacity
-        self.ttl = ttl
-        self._entries: "OrderedDict[Fingerprint, SimulationContext]" = OrderedDict()
-        self._stamps: Dict[Fingerprint, float] = {}
         from repro.telemetry import CacheStats
 
+        self.capacity = capacity
+        self.ttl = ttl
         #: counters on the unified interface; ``hits``/``misses``/
-        #: ``evictions`` remain readable as attributes (backcompat).
+        #: ``evictions``/``expirations`` remain readable as attributes.
         self._stats = CacheStats("context", entries=lambda: len(self._entries))
+        self._entries = BoundedTTLCache(max_entries=capacity, ttl=ttl, stats=self._stats)
         self.path_cache = BoundedTTLCache(
             max_entries=PATH_CACHE_ENTRIES,
             ttl=ttl,
@@ -236,46 +235,24 @@ class ContextCache:
         return self._stats.expirations
 
     def get(self, test: LitmusTest) -> SimulationContext:
-        """The context of *test*, building (and caching) it on a miss."""
-        import time
-
+        """The context of *test*, building (and caching) it on a miss.
+        An idle-expired entry counts as evicted and expired, the access
+        as a miss."""
         key = test_fingerprint(test)
-        now = time.monotonic()
         context = self._entries.get(key)
-        if context is not None and self.ttl is not None:
-            if now - self._stamps.get(key, now) > self.ttl:
-                # Idle-expired: the entry counts as evicted (and is
-                # attributed as an expiration), the access as a miss,
-                # and the context is rebuilt below.
-                del self._entries[key]
-                self._stamps.pop(key, None)
-                self._stats.evict()
-                self._stats.expire()
-                context = None
         if context is not None:
             self._stats.hit()
-            self._entries.move_to_end(key)
-            self._stamps[key] = now
             return context
         self._stats.miss()
-        context = SimulationContext(test, path_cache=self.path_cache)
-        self._entries[key] = context
-        self._stamps[key] = now
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            evicted, _ = self._entries.popitem(last=False)
-            self._stamps.pop(evicted, None)
-            self._stats.evict()
+        context = self._entries[key] = SimulationContext(test, path_cache=self.path_cache)
         return context
 
     def invalidate(self, test: LitmusTest) -> bool:
         """Drop *test*'s entry; True when one was present."""
-        key = test_fingerprint(test)
-        self._stamps.pop(key, None)
-        return self._entries.pop(key, None) is not None
+        return self._entries.pop(test_fingerprint(test), None) is not None
 
     def clear(self) -> None:
         self._entries.clear()
-        self._stamps.clear()
         self.path_cache.clear()
 
     def cache_stats(self):

@@ -1,24 +1,29 @@
 """Picklable job specs and per-process warm state for campaign workers.
 
-Worker processes cannot receive live models or simulators: architecture
-definitions and simulated chips carry closures, so job specs ship the
-litmus test (plain dataclasses pickle fine) plus *names* — a model name,
-chip names, a backend — and the worker re-hydrates heavyweight objects
-on first use, memoizing them in module-level per-process state:
+A job spec carries what the caller passed: the litmus test (plain
+dataclasses pickle fine) plus the model — a name, an architecture, a
+resolved :class:`~repro.core.model.Model` or a cat model — and, for a
+hardware campaign, the chips themselves.  Every built-in model and chip
+pickles (their relation functions are module-level), so a model object
+shards exactly like a model name.  The worker resolves models through
+:func:`~repro.herd.simulator.resolve_model`, the one resolution path.
+A model that does not pickle (an architecture built from lambdas)
+cannot reach a worker: the runner runs its batch in-process instead and
+warns once with
+:class:`~repro.campaign.supervisor.CampaignPicklingWarning`.
 
-* :func:`process_simulator` — one resolved :class:`Simulator` per
-  (model name, engine) per process;
-* :func:`process_context_cache` — one :class:`ContextCache` per process,
-  so every verdict a worker runs against a test it has seen before skips
-  the front half of the pipeline and reuses the planned engine's
-  per-location solves;
-* checkers and chips are memoized the same way by the driver-specific
-  chunk workers below.
+A worker's only warm state is :func:`process_context_cache`, one
+:class:`ContextCache` per process: every verdict a worker runs against
+a test it has seen before skips the front half of the pipeline and
+reuses the planned engine's per-location solves.  A chunk that runs in
+the caller's process instead (a serial or one-chunk batch, a payload
+that does not pickle, a serial retry) uses the cache its driver hands
+to :func:`caller_context_cache`.
 
 Every batch of verdicts — a diy family sweep, a model comparison, a
 verdict-service batch — is one kind of job: a :class:`VerdictJob`
-carrying the test and the names of the models to judge it under, run
-by :func:`verdict_chunk`.  :func:`repro.compare.engine.paired_verdicts`
+carrying the test and the models to judge it under, run by
+:func:`verdict_chunk`.  :func:`repro.compare.engine.paired_verdicts`
 is the one driver that shards those jobs or runs them serially; only
 the service hands them to the runner itself, so that even a one-test
 batch stays supervised.
@@ -39,59 +44,47 @@ envelopes, so nothing a job raises can wedge the pool machinery.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.campaign import faults as _faults
 from repro.campaign.context import ContextCache
-from repro.herd.simulator import Simulator
+from repro.herd.simulator import ModelLike, Simulator, resolve_model
 from repro.litmus.ast import LitmusTest
 
 # -- per-process warm state -----------------------------------------------------
 
-_SIMULATORS: Dict[Tuple[str, str], Simulator] = {}
-_CHECKERS: Dict[Tuple[str, str], Any] = {}
-_CHIPS: Dict[str, Any] = {}
 _CONTEXT_CACHE: Optional[ContextCache] = None
-
-
-def process_simulator(model_name: str, engine: str = "optimal") -> Simulator:
-    """This process's simulator for a model name (resolved once)."""
-    key = (model_name, engine)
-    simulator = _SIMULATORS.get(key)
-    if simulator is None:
-        simulator = Simulator(model_name, engine=engine)
-        _SIMULATORS[key] = simulator
-    return simulator
+_CALLER_CACHE: ContextVar[Optional[ContextCache]] = ContextVar(
+    "caller_context_cache", default=None
+)
 
 
 def process_context_cache() -> ContextCache:
-    """This process's per-test simulation-context cache."""
+    """The per-test simulation-context cache of a chunk: its caller's
+    inside :func:`caller_context_cache`, else this process's own."""
     global _CONTEXT_CACHE
+    cache = _CALLER_CACHE.get()
+    if cache is not None:
+        return cache
     if _CONTEXT_CACHE is None:
         _CONTEXT_CACHE = ContextCache()
     return _CONTEXT_CACHE
 
 
-def _process_chip(name: str):
-    chip = _CHIPS.get(name)
-    if chip is None:
-        from repro.hardware.chips import chip_by_name
-
-        chip = chip_by_name(name)
-        _CHIPS[name] = chip
-    return chip
-
-
-def _process_checker(model_name: str, backend: str):
-    key = (model_name, backend)
-    checker = _CHECKERS.get(key)
-    if checker is None:
-        from repro.verification.bmc import BoundedModelChecker
-
-        checker = BoundedModelChecker(model_name, backend)
-        _CHECKERS[key] = checker
-    return checker
+@contextmanager
+def caller_context_cache(cache: Optional[ContextCache]) -> Iterator[None]:
+    """Chunks that this thread runs in-process within the block use
+    *cache* (a fresh one for ``None``), so their contexts stay under the
+    caller's bounds and stats and leave with the batch.  Workers serve
+    in an empty context, so a forked one never inherits it."""
+    token = _CALLER_CACHE.set(ContextCache() if cache is None else cache)
+    try:
+        yield
+    finally:
+        _CALLER_CACHE.reset(token)
 
 
 # -- job specs ------------------------------------------------------------------
@@ -106,12 +99,12 @@ class VerdictJob:
     filter (several).  The front half of the pipeline (paths, event
     interning, plans and their per-location solves) is model
     independent, so one :class:`~repro.campaign.context.SimulationContext`
-    serves every model's verdict of the test.  ``models`` are names
-    (workers re-hydrate them).
+    serves every model's verdict of the test.  ``models`` are any
+    model-like values: the verdict service sends names.
     """
 
     test: LitmusTest
-    models: Tuple[str, ...]
+    models: Tuple[ModelLike, ...]
     engine: str = "optimal"
 
 
@@ -122,7 +115,7 @@ class SimulateJob:
     ``keep_candidates`` queries serial)."""
 
     test: LitmusTest
-    model_name: str
+    model: ModelLike
     engine: str = "optimal"
     until: Optional[str] = None
 
@@ -130,12 +123,12 @@ class SimulateJob:
 @dataclass(frozen=True)
 class HardwareJob:
     """One test of a hardware-testing campaign: model summary plus chip
-    observations (chips re-hydrated by name, RNG seeds drawn by the
-    parent so sharded campaigns observe exactly what serial ones do)."""
+    observations (RNG seeds drawn by the parent so sharded campaigns
+    observe exactly what serial ones do)."""
 
     test: LitmusTest
-    model_name: str
-    chip_names: Tuple[str, ...]
+    model: ModelLike
+    chips: Tuple[Any, ...]
     iterations: int
     seeds: Tuple[int, ...]
 
@@ -154,7 +147,7 @@ class BmcJob:
     """One bounded-model-checking query (an IR program or a litmus test)."""
 
     item: Any
-    model_name: str
+    model: ModelLike
     backend: str = "axiomatic"
 
 
@@ -174,8 +167,8 @@ def verdict_chunk(
         _faults.trip(job.test.name)
         context = cache.get(job.test)
         verdicts = tuple(
-            process_simulator(name, job.engine).verdict(job.test, context=context)
-            for name in job.models
+            Simulator(model, job.engine).verdict(job.test, context=context)
+            for model in job.models
         )
         results.append((job.test.name, verdicts))
     return results
@@ -187,17 +180,18 @@ def simulate_chunk(chunk: List[SimulateJob], payload: Any = None):
     cache = process_context_cache()
     for job in chunk:
         _faults.trip(job.test.name)
-        simulator = process_simulator(job.model_name, job.engine)
         results.append(
-            simulator.run(job.test, until=job.until, context=cache.get(job.test))
+            Simulator(job.model, job.engine).run(
+                job.test, until=job.until, context=cache.get(job.test)
+            )
         )
     return results
 
 
-def repair_chunk(chunk: List[LitmusTest], payload: Tuple[str, dict, str]):
+def repair_chunk(chunk: List[LitmusTest], payload: Tuple[Any, dict, str]):
     """Worker: repair a chunk of tests with a process-local memo cache.
 
-    ``payload`` is ``(model name, cycle-cache snapshot, placement
+    ``payload`` is ``(model, cycle-cache snapshot, placement
     strategy)``; the worker repairs against a local copy of the snapshot
     and returns it with the reports so the parent can merge what this
     chunk learned.  ILP chunks behave exactly like greedy ones — the
@@ -205,17 +199,16 @@ def repair_chunk(chunk: List[LitmusTest], payload: Tuple[str, dict, str]):
     """
     from repro.fences.campaign import repair_one
 
-    model_name, cache_snapshot, strategy = payload
+    model, cache_snapshot, strategy = payload
     local = dict(cache_snapshot)
-    simulator_model = process_simulator(model_name).model
+    resolved = resolve_model(model)
     cache = process_context_cache()
     reports = []
     for test in chunk:
         _faults.trip(test.name)
         reports.append(
             repair_one(
-                test, simulator_model, local, context_cache=cache,
-                strategy=strategy,
+                test, resolved, local, context_cache=cache, strategy=strategy,
             )
         )
     return reports, local
@@ -229,13 +222,11 @@ def hardware_chunk(chunk: List[HardwareJob], payload: Any = None):
     cache = process_context_cache()
     for job in chunk:
         _faults.trip(job.test.name)
-        simulator = process_simulator(job.model_name)
-        chips = [_process_chip(name) for name in job.chip_names]
         results.append(
             observe_test(
-                simulator,
+                Simulator(job.model),
                 job.test,
-                chips,
+                job.chips,
                 job.iterations,
                 job.seeds,
                 context_cache=cache,
@@ -260,12 +251,13 @@ def mole_chunk(chunk: List[MoleJob], payload: Any = None):
 
 def bmc_chunk(chunk: List[BmcJob], payload: Any = None):
     """Worker: one :class:`VerificationResult` per query of the chunk."""
+    from repro.verification.bmc import BoundedModelChecker
     from repro.verification.program import Program
 
     results = []
     for job in chunk:
         _faults.trip(getattr(job.item, "name", repr(job.item)))
-        checker = _process_checker(job.model_name, job.backend)
+        checker = BoundedModelChecker(job.model, job.backend)
         if isinstance(job.item, Program):
             results.append(checker.verify(job.item))
         else:

@@ -7,8 +7,8 @@ preserved.  This module is the one fan-out layer they all share:
 
 * jobs are grouped into **chunks** so that scheduling and pickling
   overhead amortizes over several jobs and per-worker warm state
-  (resolved models, simulators, per-test simulation contexts — see
-  :mod:`repro.campaign.jobs`) gets reused within and across chunks;
+  (per-test simulation contexts — see :mod:`repro.campaign.jobs`) gets
+  reused within and across chunks;
 * the worker callable must be a picklable module-level function taking
   ``(chunk, payload)`` — a list of job specs plus one static payload
   shared by every chunk — and returning one result per job (or
@@ -29,12 +29,11 @@ preserved.  This module is the one fan-out layer they all share:
   and poison-item bisection.
 
 ``CampaignPool`` keeps one pool alive across several batches: worker
-processes then retain their warm state (per-process simulators and
-context caches) between calls, which is what escalation-style loops
-want.  Pools shut down gracefully — ``close()``/``__exit__`` ask the
-workers to drain and only ``terminate()`` after the policy's grace
-period — so worker caches flush and in-flight telemetry snapshots are
-not lost.
+processes then retain their warm state (per-process context caches)
+between calls, which is what escalation-style loops want.  Pools shut
+down gracefully — ``close()``/``__exit__`` ask the workers to drain and
+only ``terminate()`` after the policy's grace period — so worker caches
+flush and in-flight telemetry snapshots are not lost.
 """
 
 from __future__ import annotations
@@ -383,11 +382,11 @@ class CampaignPool:
     """A reusable worker pool for multi-batch campaigns.
 
     The pool's processes survive between :meth:`run` calls, so the
-    per-process warm state built by :mod:`repro.campaign.jobs` (resolved
-    models, simulators, per-test simulation contexts) carries over from
-    one batch to the next — exactly what escalation loops and repeated
-    model comparisons want.  With an effective worker count of one the
-    pool degrades to the serial fallback and spawns nothing.
+    per-process warm state built by :mod:`repro.campaign.jobs` (per-test
+    simulation contexts) carries over from one batch to the next —
+    exactly what escalation loops and repeated model comparisons want.
+    With an effective worker count of one the pool degrades to the
+    serial fallback and spawns nothing.
 
     ``policy`` (a :class:`~repro.campaign.supervisor.SupervisorPolicy`,
     default :data:`DEFAULT_POLICY`) is the default of every batch on

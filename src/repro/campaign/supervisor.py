@@ -40,6 +40,7 @@ traces see the same story.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
@@ -437,12 +438,18 @@ def _worker_main(conn) -> None:
     """The supervised worker loop: recv task, run guarded, send outcome.
 
     Module-level warm state (:mod:`repro.campaign.jobs`) accumulates
-    across tasks and, on a persistent pool, across batches.  A ``None``
+    across tasks and, on a persistent pool, across batches.  The loop
+    serves in an empty :mod:`contextvars` context: a forked worker
+    must not inherit what its forking thread had set.  A ``None``
     task is the shutdown sentinel.  Results are pickled *before* any
     bytes hit the pipe (``Connection.send`` serializes first), so an
     unpicklable result never corrupts the stream — it is re-sent as an
     error envelope instead.
     """
+    contextvars.Context().run(_serve, conn)
+
+
+def _serve(conn) -> None:
     while True:
         try:
             task = conn.recv()
@@ -508,8 +515,8 @@ class SupervisedPool:
     """Self-healing worker processes executing chunk tasks under a policy.
 
     Workers persist across :meth:`run_tasks` calls (their module-level
-    warm state — simulators, context caches — carries over, exactly
-    like :class:`repro.campaign.CampaignPool`), and dead or overdue
+    warm state, a context cache, carries over, exactly like
+    :class:`repro.campaign.CampaignPool`), and dead or overdue
     workers are replaced on the spot.  ``counters`` (shared with the
     owning :class:`~repro.campaign.CampaignPool` when there is one)
     accumulates every supervision event.

@@ -61,9 +61,7 @@ PairedVerdicts = List[Tuple[str, Tuple[str, ...]]]
 def model_label(model: ModelLike) -> str:
     """The display name of a model-like value (the resolved name for
     strings, exactly as the sweep drivers report it)."""
-    if isinstance(model, str):
-        return getattr(resolve_model(model), "name", model.lower())
-    return getattr(model, "name", str(model))
+    return getattr(resolve_model(model), "name", str(model))
 
 
 def paired_verdicts(
@@ -80,8 +78,8 @@ def paired_verdicts(
 ) -> PairedVerdicts:
     """``(test name, verdict per model)`` for every test, in order.
 
-    Shards :class:`~repro.campaign.jobs.VerdictJob` chunks over the
-    campaign runtime when every model is a *name* and a pool (or a
+    Shards :class:`~repro.campaign.jobs.VerdictJob` chunks, which carry
+    the models as given, over the campaign runtime when a pool (or a
     worker count above one) is available; otherwise runs in-process,
     still sharing one context per test across all models.  Quarantined
     tests of a sharded run are dropped from the result and recorded on
@@ -91,17 +89,18 @@ def paired_verdicts(
 
     tests = list(tests)
     models = list(models)
-    sharded = (
-        all(isinstance(model, str) for model in models)
-        and (pool is not None or campaign_runner.worker_count(processes) > 1)
-        and len(tests) > 1
-    )
-    if sharded:
-        from repro.campaign.jobs import VerdictJob, verdict_chunk
+    if (
+        pool is not None or campaign_runner.worker_count(processes) > 1
+    ) and len(tests) > 1:
+        from repro.campaign.jobs import (
+            VerdictJob,
+            caller_context_cache,
+            verdict_chunk,
+        )
 
         jobs = [VerdictJob(test, tuple(models), engine) for test in tests]
-        return list(
-            campaign_runner.run_sharded(
+        with caller_context_cache(context_cache):
+            return campaign_runner.run_sharded(
                 verdict_chunk,
                 jobs,
                 processes=processes,
@@ -110,7 +109,6 @@ def paired_verdicts(
                 policy=policy,
                 errors=errors,
             )
-        )
 
     simulators = [Simulator(model, engine=engine) for model in models]
     results: PairedVerdicts = []

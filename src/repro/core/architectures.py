@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.core.execution import Execution
-from repro.core.model import Architecture
+from repro.core.model import Architecture, no_relation
 from repro.core.ppo_power import arm_ppo, power_ppo, static_arm_ppo, static_power_ppo
 from repro.core.relation import Relation
 
@@ -160,7 +160,7 @@ def sc_architecture() -> Architecture:
     return Architecture(
         name="sc",
         ppo_fn=sc_ppo,
-        fences_fn=lambda execution: Relation(),
+        fences_fn=no_relation,
         prop_fn=sc_prop,
         description="Sequential Consistency (Lamport 1979)",
     )
@@ -183,7 +183,7 @@ def cpp_ra_architecture() -> Architecture:
     return Architecture(
         name="cpp-ra",
         ppo_fn=sc_ppo,  # sequenced-before
-        fences_fn=lambda execution: Relation(),
+        fences_fn=no_relation,
         prop_fn=cpp_ra_prop,
         propagation_variant="irreflexive_prop_co",
         description="C++ release-acquire fragment",

@@ -11,7 +11,7 @@ whether a candidate execution is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import axioms
@@ -21,6 +21,13 @@ from repro.core.relation import Relation
 
 RelationFn = Callable[[Execution], Relation]
 PropFn = Callable[[Execution, Relation, Relation], Relation]
+
+
+def no_relation(execution: Execution) -> Relation:
+    """The empty relation: the fences of a model without fences, and
+    the default full fence.  A module-level function, so architectures
+    using it pickle."""
+    return Relation()
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,7 @@ class Architecture:
     ppo_fn: RelationFn
     fences_fn: RelationFn
     prop_fn: PropFn
-    ffence_fn: RelationFn = field(default=lambda execution: Relation())
+    ffence_fn: RelationFn = no_relation
     sc_per_location_variant: str = "standard"
     propagation_variant: str = "acyclic"
     description: str = ""

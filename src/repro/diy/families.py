@@ -216,8 +216,8 @@ def sweep_family(
     single-model case of :func:`repro.compare.engine.paired_verdicts`.
     Verdicts of distinct tests are independent, so ``processes`` (an
     int, or ``"auto"`` for one worker per core) or a ``pool`` shards
-    them over the campaign runtime — the model must then be given by
-    *name* so workers can re-hydrate it.  Serially, ``context_cache``
+    them over the campaign runtime, whatever form the model takes.
+    Serially (and in chunks that run in-process), ``context_cache``
     lets repeated sweeps of the same family (e.g. under several models)
     skip the front half of the pipeline.
 

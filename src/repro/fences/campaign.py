@@ -14,9 +14,8 @@ Repairs of distinct tests are independent, so the driver fans out over
 the shared campaign runtime (:mod:`repro.campaign`): chunks of tests
 are sharded over a process pool, worker processes return their local
 cache entries, and the parent merges them in submission order.  Workers
-keep per-process warm state — a simulator resolved once per model name
-and a per-test simulation-context cache — across every chunk they
-serve.
+resolve the model once per chunk and keep a per-test
+simulation-context cache across every chunk they serve.
 """
 
 from __future__ import annotations
@@ -179,19 +178,19 @@ def repair_family(
     """Repair every test of a family, optionally in parallel.
 
     ``processes`` (an int, or ``"auto"`` for one worker per core) fans
-    the family out over the shared campaign runner — the model must
-    then be given by *name*, so workers can re-hydrate it; otherwise
-    the repairs run serially in-process with the model resolved once
-    for the whole campaign.  The memo ``cache`` may be shared across
-    calls to amortise work over several families; worker-local cache
-    entries are merged back in submission order, exactly as the serial
-    loop would have accumulated them chunk by chunk.
+    the family out over the shared campaign runner, each worker
+    resolving the model once per chunk; otherwise the repairs run
+    serially in-process with the model resolved once for the whole
+    campaign.  The memo ``cache`` may be shared across calls to
+    amortise work over several families; worker-local cache entries
+    are merged back in submission order, exactly as the serial loop
+    would have accumulated them chunk by chunk.
 
-    ``context_cache`` (serial path) reuses per-test simulation contexts
-    across validation verdicts; sharded workers always keep their own
-    per-process context caches, which persist across chunks — and
-    across whole batches when an open :class:`repro.campaign.CampaignPool`
-    is passed as ``pool``.
+    ``context_cache`` (serial path, and chunks that run in-process)
+    reuses per-test simulation contexts across validation verdicts;
+    worker processes always keep their own per-process context caches,
+    which persist across chunks — and across whole batches when an open
+    :class:`repro.campaign.CampaignPool` is passed as ``pool``.
 
     ``strategy`` (``"greedy"`` or ``"ilp"``) selects the placement
     planner for every repair of the campaign; ILP repairs shard and
@@ -207,29 +206,26 @@ def repair_family(
     tests = list(tests)
     if cache is None:
         cache = {}
-    model_name = model if isinstance(model, str) else getattr(model, "name", str(model))
+    resolved = resolve_model(model)
     failed: List = [] if errors is None else errors
     first_failure = len(failed)
 
-    sharded = (
-        pool is not None or campaign_runner.worker_count(processes) > 1
-    ) and isinstance(model, str)
-    if sharded:
-        from repro.campaign.jobs import repair_chunk
+    if pool is not None or campaign_runner.worker_count(processes) > 1:
+        from repro.campaign.jobs import caller_context_cache, repair_chunk
 
-        reports: List[RepairReport] = campaign_runner.run_sharded(
-            repair_chunk,
-            tests,
-            payload=(model, dict(cache), strategy),
-            processes=processes,
-            chunk_size=chunk_size,
-            merge=cache.update,
-            pool=pool,
-            policy=policy,
-            errors=failed,
-        )
+        with caller_context_cache(context_cache):
+            reports: List[RepairReport] = campaign_runner.run_sharded(
+                repair_chunk,
+                tests,
+                payload=(model, dict(cache), strategy),
+                processes=processes,
+                chunk_size=chunk_size,
+                merge=cache.update,
+                pool=pool,
+                policy=policy,
+                errors=failed,
+            )
     else:
-        resolved = resolve_model(model)
         reports = [
             repair_one(
                 test, resolved, cache, context_cache=context_cache,
@@ -240,7 +236,7 @@ def repair_family(
 
     cache_hits = sum(1 for report in reports if report.from_cache)
     return CampaignResult(
-        model_name=str(model_name),
+        model_name=getattr(resolved, "name", str(model)),
         reports=reports,
         cache_hits=cache_hits,
         errors=tuple(failed[first_failure:]),

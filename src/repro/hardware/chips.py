@@ -22,6 +22,7 @@ A6X
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -43,20 +44,22 @@ from repro.litmus.ast import LitmusTest
 # Implementation models
 # ---------------------------------------------------------------------------
 
+def _ppo_without_rw_reordering(base_ppo, execution: Execution) -> Relation:
+    return base_ppo(execution) | execution.restrict_rw(execution.po)
+
+
 def _strengthen_no_rw_reordering(base: Architecture, name: str) -> Architecture:
     """An implementation that never reorders a read with a po-later write.
 
     This is how we model "architecturally allowed but not implemented":
     load-buffering (lb) behaviours disappear, matching the Power
     observations of Sec. 8.1.1 and the conservative ARM implementations.
+    The ppo is a partial of a module-level function, not a closure, so
+    the implementation (and every chip built on it) pickles.
     """
-
-    def ppo_fn(execution: Execution) -> Relation:
-        return base.ppo_fn(execution) | execution.restrict_rw(execution.po)
-
     return Architecture(
         name=name,
-        ppo_fn=ppo_fn,
+        ppo_fn=functools.partial(_ppo_without_rw_reordering, base.ppo_fn),
         fences_fn=base.fences_fn,
         prop_fn=base.prop_fn,
         ffence_fn=base.ffence_fn,

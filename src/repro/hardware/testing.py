@@ -211,59 +211,6 @@ def observe_test(
     )
 
 
-def _chip_spec(chip: SimulatedChip):
-    """Everything comparable about a chip's behaviour-determining config.
-
-    Implementation models carry closures, so they are compared through
-    their (model, architecture) name/description surface — the default
-    populations give every distinct implementation a distinct name.
-    """
-
-    def model_spec(model) -> tuple:
-        architecture = getattr(model, "architecture", None)
-        return (
-            type(model).__name__,
-            getattr(model, "name", None),
-            getattr(architecture, "description", None),
-            getattr(architecture, "sc_per_location_variant", None),
-        )
-
-    return (
-        chip.name,
-        chip.family,
-        chip.description,
-        model_spec(chip.implementation),
-        tuple(
-            (e.name, e.rate, e.description, model_spec(e.model)) for e in chip.errata
-        ),
-    )
-
-
-def _chip_references(chips: Sequence[SimulatedChip]):
-    """Chip names workers can re-hydrate, or None if any chip is custom.
-
-    Chip implementations carry closures and cannot be pickled, so the
-    sharded path ships names and rebuilds via
-    :func:`repro.hardware.chips.chip_by_name` — but only for chips whose
-    whole comparable configuration (:func:`_chip_spec`) matches the
-    default registry entry.  Anything else — an unknown name, a swapped
-    implementation model, a tweaked erratum — forces the serial path,
-    which runs the caller's actual chip objects.
-    """
-    from repro.hardware.chips import chip_by_name
-
-    references = []
-    for chip in chips:
-        try:
-            rebuilt = chip_by_name(chip.name)
-        except KeyError:
-            return None
-        if _chip_spec(rebuilt) != _chip_spec(chip):
-            return None
-        references.append(chip.name)
-    return tuple(references)
-
-
 def run_campaign(
     tests: Iterable[LitmusTest],
     chips: Sequence[SimulatedChip],
@@ -280,11 +227,10 @@ def run_campaign(
     """Run a family of tests on a chip population and compare with a model.
 
     ``processes`` (an int, or ``"auto"`` for one worker per core) shards
-    the per-test work over the campaign runtime; the model must then be
-    a *name* and the chips must come from the default populations, so
-    workers can re-hydrate both (custom chip objects fall back to the
-    serial path).  Chip RNG seeds are drawn up front by the parent in
-    the serial order, so sharded reports are identical to serial ones.
+    the per-test work over the campaign runtime; every job carries the
+    model and the chips as given.  Chip RNG seeds are drawn up front by
+    the parent in the serial order, so sharded reports are identical to
+    serial ones.
     ``pool`` reuses an open :class:`repro.campaign.CampaignPool` (a
     session's warm workers) instead of spinning a fresh one per call.
 
@@ -310,32 +256,32 @@ def run_campaign(
     rng = random.Random(seed)
     seeds = [tuple(rng.randint(0, 2**31) for _ in chips) for _ in tests]
 
-    chip_references = None
     if (
-        (pool is not None or campaign_runner.worker_count(processes) > 1)
-        and isinstance(model, str)
-        and len(tests) > 1
-    ):
-        chip_references = _chip_references(chips)
+        pool is not None or campaign_runner.worker_count(processes) > 1
+    ) and len(tests) > 1:
+        from repro.campaign.jobs import (
+            HardwareJob,
+            caller_context_cache,
+            hardware_chunk,
+        )
 
-    if chip_references is not None:
-        from repro.campaign.jobs import HardwareJob, hardware_chunk
-
+        chips = tuple(chips)
         jobs = [
-            HardwareJob(test, model, chip_references, iterations, test_seeds)
+            HardwareJob(test, model, chips, iterations, test_seeds)
             for test, test_seeds in zip(tests, seeds)
         ]
-        report.results.extend(
-            campaign_runner.run_sharded(
-                hardware_chunk,
-                jobs,
-                processes=processes,
-                chunk_size=chunk_size,
-                pool=pool,
-                policy=policy,
-                errors=report.errors,
+        with caller_context_cache(context_cache):
+            report.results.extend(
+                campaign_runner.run_sharded(
+                    hardware_chunk,
+                    jobs,
+                    processes=processes,
+                    chunk_size=chunk_size,
+                    pool=pool,
+                    policy=policy,
+                    errors=report.errors,
+                )
             )
-        )
         if errors is not None:
             errors.extend(report.errors)
     else:

@@ -82,10 +82,8 @@ class Candidate:
         return tuple(sorted(set(observed)))
 
 
-def _thread_paths(
-    test: LitmusTest, value_domain: Optional[Sequence[int]] = None, cache=None
-) -> List[Sequence[ThreadExecution]]:
-    """Per thread of *test*, every path over the value domain.
+def _thread_paths(test: LitmusTest, cache=None) -> List[Sequence[ThreadExecution]]:
+    """Per thread of *test*, every path over the test's value domain.
 
     A thread's paths depend on its index, instructions, initial
     registers and the value domain alone.  With a *cache* (a
@@ -93,7 +91,7 @@ def _thread_paths(
     the lookups), each distinct thread program is enumerated once and
     its paths, a tuple, are shared read-only by every test containing it.
     """
-    domain = tuple(value_domain) if value_domain is not None else tuple(value_domain_of(test))
+    domain = tuple(value_domain_of(test))
     paths: List[Sequence[ThreadExecution]] = []
     for index, instructions in enumerate(test.threads):
         init_registers = thread_init_registers(test, index)
@@ -326,11 +324,9 @@ def combination_context(
     )
 
 
-def combination_contexts(
-    test: LitmusTest, value_domain: Optional[Sequence[int]] = None
-) -> Iterator[CombinationContext]:
+def combination_contexts(test: LitmusTest) -> Iterator[CombinationContext]:
     """One :class:`CombinationContext` per choice of per-thread paths."""
-    all_paths = _thread_paths(test, value_domain)
+    all_paths = _thread_paths(test)
     locations = set(test.locations())
     for combination in itertools.product(*all_paths):
         yield combination_context(combination, locations, test.init_memory)
@@ -380,11 +376,9 @@ def candidates_of_context(context: CombinationContext) -> Iterator[Candidate]:
             yield context.candidate(rf, co)
 
 
-def candidate_executions(
-    test: LitmusTest, value_domain: Optional[Sequence[int]] = None
-) -> Iterator[Candidate]:
+def candidate_executions(test: LitmusTest) -> Iterator[Candidate]:
     """Yield every candidate execution of *test* (naive reference oracle)."""
-    for context in combination_contexts(test, value_domain):
+    for context in combination_contexts(test):
         yield from candidates_of_context(context)
 
 

@@ -65,13 +65,7 @@ from repro import telemetry as _telemetry
 from repro.core.bitrel import iter_bits, rows_inverse
 from repro.core.events import Event
 from repro.core.execution import Execution
-from repro.herd.enumerate import (
-    Candidate,
-    CombinationContext,
-    _thread_paths,
-    combination_context,
-    combination_contexts,
-)
+from repro.herd.enumerate import Candidate, CombinationContext, combination_contexts
 from repro.litmus.ast import LitmusTest
 
 Outcome = Tuple[Tuple[str, int], ...]
@@ -630,13 +624,9 @@ class OptimalPlan:
             yield leaf.candidate(), leaf.outcome
 
 
-def plans(
-    test: LitmusTest,
-    variant: str = "standard",
-    value_domain: Optional[Sequence[int]] = None,
-) -> Iterator[OptimalPlan]:
+def plans(test: LitmusTest, variant: str = "standard") -> Iterator[OptimalPlan]:
     """One :class:`OptimalPlan` per combination of per-thread paths."""
-    for context in combination_contexts(test, value_domain):
+    for context in combination_contexts(test):
         yield OptimalPlan(context, test, variant)
 
 
@@ -645,9 +635,11 @@ def combination_matches_target(combination, condition) -> bool:
 
     The final registers are fixed by the thread paths alone, so register
     atoms filter whole combinations *before* the event universe is
-    interned or any relation built.  Shared between :func:`target_plans`
-    and the campaign runtime's per-test context cache, so the two filter
-    identically.
+    interned or any relation built: for a register-only ``exists``
+    clause (the common litmus shape) only the combinations that match
+    the target are ever constructed
+    (:meth:`repro.campaign.context.SimulationContext.target_plans`).
+    Memory atoms are left to the caller's outcome-universe check.
     """
     for atom in condition.atoms:
         if atom.kind != "reg":
@@ -663,35 +655,8 @@ def combination_matches_target(combination, condition) -> bool:
     return True
 
 
-def target_plans(
-    test: LitmusTest,
-    variant: str = "standard",
-    value_domain: Optional[Sequence[int]] = None,
-) -> Iterator[OptimalPlan]:
-    """Plans of the combinations that could witness the target outcome.
-
-    Register atoms of the condition filter whole combinations before any
-    interning — for a register-only ``exists`` clause (the common litmus
-    shape) only the combinations that actually match the target are ever
-    constructed.  Memory atoms are left to the caller's outcome-universe
-    check.
-    """
-    condition = test.condition
-    assert condition is not None, "target_plans needs a final condition"
-    all_paths = _thread_paths(test, value_domain)
-    locations = set(test.locations())
-    for combination in itertools.product(*all_paths):
-        if not combination_matches_target(combination, condition):
-            continue
-        context = combination_context(combination, locations, test.init_memory)
-        yield OptimalPlan(context, test, variant)
-
-
 def surviving_candidates(
-    test: LitmusTest,
-    variant: str = "standard",
-    value_domain: Optional[Sequence[int]] = None,
-    with_outcomes: bool = True,
+    test: LitmusTest, variant: str = "standard", with_outcomes: bool = True
 ) -> Iterator[Tuple[Candidate, Optional[Outcome]]]:
     """Every uniproc-consistent candidate of *test*, with its outcome.
 
@@ -701,5 +666,5 @@ def surviving_candidates(
     multi-event or operational engines alike — lose nothing by
     iterating these only.
     """
-    for plan in plans(test, variant, value_domain):
+    for plan in plans(test, variant):
         yield from plan.survivors(with_outcomes=with_outcomes)

@@ -45,7 +45,7 @@ keeps the target-matching executions its verdict walks materialized
 (:meth:`repro.herd.optimal.OptimalPlan.target_leaves`), and a later
 model's verdict only runs its own check over them.  For process-level
 fan-out the campaign runtime ships picklable job specs (the litmus test
-plus a model *name*) and re-hydrates both the model and the context
+plus the model, as given) and resolves the model and builds the context
 inside the worker; see :mod:`repro.campaign`.
 """
 
@@ -285,18 +285,13 @@ class Simulator:
         target_found = False
         verdict_only = until == "target" and test.condition is not None
 
-        if context is not None:
-            plan_source = (
-                context.target_plans(variant)
-                if verdict_only
-                else context.plans(variant)
-            )
-        else:
-            plan_source = (
-                _optimal.target_plans(test, variant)
-                if verdict_only
-                else _optimal.plans(test, variant)
-            )
+        if context is None:
+            from repro.campaign.context import SimulationContext
+
+            context = SimulationContext(test)
+        plan_source = (
+            context.target_plans(variant) if verdict_only else context.plans(variant)
+        )
         plans_walked = 0
         plans_skipped = 0
         for plan in plan_source:

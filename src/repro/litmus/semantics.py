@@ -23,7 +23,7 @@ address port, value port, or branch condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.events import Event, FenceEvent, MemoryRead, MemoryWrite
 from repro.litmus.ast import LitmusTest, RegisterValue
@@ -314,20 +314,51 @@ def enumerate_thread_paths(
     One path is produced per assignment of values to the loads the path
     performs; branches are resolved concretely by each assignment.
     """
-    values = sorted(set(int(v) for v in value_domain))
-    if not values:
-        values = [0]
-    results: List[ThreadExecution] = []
+    values = sorted(set(int(v) for v in value_domain)) or [0]
+    walk = _walk_thread_paths(thread, instructions, init_registers, values)
+    results = [path for path in walk if path is not None]
+    results.sort(key=lambda path: path.load_values)
+    return results
+
+
+def _walk_thread_paths(
+    thread: int,
+    instructions: Sequence[Instruction],
+    init_registers: Mapping[str, RegisterValue],
+    values: Sequence[int],
+) -> Iterator[Optional[ThreadExecution]]:
+    """Run a thread once per choice of load values over the sorted
+    *values*, depth first: each run's path, or ``None`` for a run that
+    forked on a load."""
     pending: List[Tuple[int, ...]] = [()]
     while pending:
         choices = pending.pop()
         try:
-            results.append(_run_thread(thread, instructions, init_registers, choices))
+            path = _run_thread(thread, instructions, init_registers, choices)
         except _NeedValue:
             # Fork: the next load can return any value in the domain.
+            path = None
             pending.extend(choices + (value,) for value in reversed(values))
-    results.sort(key=lambda path: path.load_values)
-    return results
+        yield path
+
+
+def check_runnable(test: LitmusTest, steps: int) -> None:
+    """Walk the threads of *test* as :func:`enumerate_thread_paths`
+    does until about *steps* instructions have run, raising
+    :class:`SemanticsError` where a run fails.
+
+    A dry run bounded whatever the test's size: the walk is depth
+    first, so a fault met early is found and one met late may not be.
+    """
+    values = value_domain_of(test)
+    for index, instructions in enumerate(test.threads):
+        walk = _walk_thread_paths(
+            index, instructions, thread_init_registers(test, index), values
+        )
+        for _ in walk:
+            steps -= max(len(instructions), 1)
+            if steps <= 0:
+                return
 
 
 def value_domain_of(test: LitmusTest) -> List[int]:

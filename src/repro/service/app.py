@@ -38,8 +38,9 @@ long-lived server actually meets:
 
 Execution happens on a **single** worker thread feeding the Session —
 the Session is not thread-safe, and parallelism comes from the process
-pool inside a batch, not from concurrent batches.  The asyncio loop
-only parses, queues, streams and supervises.
+pool inside a batch, not from concurrent batches.  The same thread
+runs admission's bounded dry run of tests given as source.  The
+asyncio loop only parses, queues, streams and supervises.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import contextlib
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry as _telemetry
 from repro.litmus.ast import LitmusTest
@@ -60,6 +61,11 @@ from repro.service.http import ChunkedWriter, HttpError, Request, read_request, 
 from repro.session import Session
 
 __all__ = ["VerdictService", "ServiceThread", "serve"]
+
+#: Instructions that admission runs of a test given as source: the
+#: whole walk of a usual litmus test (at most 365 over the registry and
+#: diy corpus), a bounded prefix of a larger one.
+DRY_RUN_STEPS = 2_000
 
 #: Counter keys pre-seeded to zero so ``GET /stats`` always shows the
 #: full shape, quiet servers included.
@@ -356,7 +362,7 @@ class VerdictService:
     def _retry_after_headers(self) -> Dict[str, str]:
         return {"Retry-After": str(max(1, round(self.config.retry_after)))}
 
-    def _admit(
+    async def _admit(
         self,
         kind: str,
         tests: List[LitmusTest],
@@ -364,39 +370,25 @@ class VerdictService:
         strategy: Optional[str],
         budget: float,
         client: Optional[str] = None,
+        sources: Sequence[LitmusTest] = (),
     ) -> List[_Item]:
-        if self._draining or self._closed:
-            self._count("rejected_draining", len(tests))
-            raise HttpError(
-                503, "service is draining", self._retry_after_headers()
-            )
+        """Queue a request's tests, or raise the ``503``/``429``/``400``
+        that refuses it.
+
+        *sources*, the tests given as source, are dry-run only once
+        admission would take the request; admission is checked again
+        after, as other requests may have filled the queue meanwhile.
+        """
         # Memoized verdicts answer from the cache without ever entering
         # the queue, so only the misses compete for admission capacity.
         cached = [self._cached_outcome(kind, test, models) for test in tests]
         miss_count = sum(1 for outcome in cached if outcome is None)
-        # Per-client fairness first: a greedy client is told it (and
-        # only it) is over quota even while the global queue has room.
-        # Comparison corpora are exempt — the *server* chooses that
-        # fan-out (clamped by compare_max_tests), not the client.
-        if client is not None and kind != "compare":
-            held = self._client_inflight.get(client, 0)
-            if held + miss_count > self.config.max_inflight_per_client:
-                self._count("shed_per_client", len(tests))
-                raise HttpError(
-                    429,
-                    f"client {client} holds {held} in-flight items "
-                    f"(per-client cap {self.config.max_inflight_per_client})",
-                    self._retry_after_headers(),
-                )
-        depth = len(self._queue) + self._inflight
-        if depth + miss_count > self.config.max_queue:
-            self._count("shed", len(tests))
-            raise HttpError(
-                429,
-                f"admission queue full ({depth} items in flight, "
-                f"cap {self.config.max_queue})",
-                self._retry_after_headers(),
+        self._check_capacity(kind, len(tests), miss_count, client)
+        if sources:
+            await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._check_runnable, sources
             )
+            self._check_capacity(kind, len(tests), miss_count, client)
         loop = asyncio.get_running_loop()
         deadline = time.monotonic() + budget
         items = []
@@ -422,6 +414,40 @@ class VerdictService:
         if self._wake is not None and misses:
             self._wake.set()
         return items
+
+    def _check_capacity(
+        self, kind: str, count: int, miss_count: int, client: Optional[str]
+    ) -> None:
+        """Raise the ``503`` or ``429`` that admitting *miss_count* more
+        items of a *count*-test request from *client* earns, if any."""
+        if self._draining or self._closed:
+            self._count("rejected_draining", count)
+            raise HttpError(
+                503, "service is draining", self._retry_after_headers()
+            )
+        # Per-client fairness first: a greedy client is told it (and
+        # only it) is over quota even while the global queue has room.
+        # Comparison corpora are exempt — the *server* chooses that
+        # fan-out (clamped by compare_max_tests), not the client.
+        if client is not None and kind != "compare":
+            held = self._client_inflight.get(client, 0)
+            if held + miss_count > self.config.max_inflight_per_client:
+                self._count("shed_per_client", count)
+                raise HttpError(
+                    429,
+                    f"client {client} holds {held} in-flight items "
+                    f"(per-client cap {self.config.max_inflight_per_client})",
+                    self._retry_after_headers(),
+                )
+        depth = len(self._queue) + self._inflight
+        if depth + miss_count > self.config.max_queue:
+            self._count("shed", count)
+            raise HttpError(
+                429,
+                f"admission queue full ({depth} items in flight, "
+                f"cap {self.config.max_queue})",
+                self._retry_after_headers(),
+            )
 
     def _client_done(self, client: str) -> None:
         """One of *client*'s items was answered: release its quota slot."""
@@ -570,17 +596,20 @@ class VerdictService:
             # would bypass chunk supervision — the pool must own every
             # pooled item so deadlines and quarantine always apply.
             from repro.campaign import runner as campaign_runner
-            from repro.campaign.jobs import VerdictJob, verdict_chunk
+            from repro.campaign.jobs import (
+                VerdictJob,
+                caller_context_cache,
+                verdict_chunk,
+            )
 
-            survivors = list(
-                campaign_runner.run_sharded(
+            with caller_context_cache(session.context_cache):
+                survivors = campaign_runner.run_sharded(
                     verdict_chunk,
                     [VerdictJob(test, head.models, session.engine) for test in tests],
                     pool=session.pool(),
                     policy=policy,
                     errors=errors,
                 )
-            )
 
             def render(item: _Item, verdicts) -> Dict[str, Any]:
                 return self._verdict_line(
@@ -800,9 +829,13 @@ class VerdictService:
                 raise HttpError(405, f"use POST {path}")
             self._count("requests")
             kind = path[1:]
-            tests, model, strategy, budget = self._parse_submission(request, kind)
+            tests, sources, model, strategy, budget = self._parse_submission(
+                request, kind
+            )
             client = self._client_of(request, writer)
-            items = self._admit(kind, tests, (model,), strategy, budget, client)
+            items = await self._admit(
+                kind, tests, (model,), strategy, budget, client, sources
+            )
             await streaming.start(200, keep_alive=keep_alive)
             for item in items:
                 outcome = await self._await_item(item)
@@ -819,7 +852,9 @@ class VerdictService:
                 None, self._compare_corpus, budget, limit
             )
             client = self._client_of(request, writer)
-            items = self._admit("compare", corpus, models, None, deadline, client)
+            items = await self._admit(
+                "compare", corpus, models, None, deadline, client
+            )
             await streaming.start(200, keep_alive=keep_alive)
             from repro.compare.corpus import event_count
 
@@ -880,7 +915,9 @@ class VerdictService:
 
     def _parse_submission(
         self, request: Request, kind: str
-    ) -> Tuple[List[LitmusTest], str, Optional[str], float]:
+    ) -> Tuple[List[LitmusTest], List[LitmusTest], str, Optional[str], float]:
+        """``(tests, the tests given as source, model, strategy,
+        deadline)`` of a ``/verdict`` or ``/repair`` body."""
         payload = request.json()
         if not isinstance(payload, dict):
             raise HttpError(400, "request body must be a JSON object")
@@ -906,7 +943,29 @@ class VerdictService:
         budget = self._parse_deadline(payload)
 
         tests = [self._resolve_test(spec) for spec in specs]
-        return tests, model, strategy, budget
+        sources = [
+            test
+            for spec, test in zip(specs, tests)
+            if isinstance(spec, dict) and "source" in spec
+        ]
+        return tests, sources, model, strategy, budget
+
+    @staticmethod
+    def _check_runnable(tests: Sequence[LitmusTest]) -> None:
+        """Dry-run tests parsed from source for :data:`DRY_RUN_STEPS`
+        instructions each.  A test that parses but cannot run is the
+        client's error, answered 400 before admission, never a worker
+        fault for the supervisor to retry and the breaker to count; one
+        whose fault lies past the budget is left to the workers."""
+        from repro.litmus.semantics import SemanticsError, check_runnable
+
+        for test in tests:
+            try:
+                check_runnable(test, DRY_RUN_STEPS)
+            except SemanticsError as exc:
+                raise HttpError(
+                    400, f"litmus test {test.name!r} cannot run: {exc}"
+                ) from None
 
     def _parse_deadline(self, payload: Dict[str, Any]) -> float:
         budget = payload.get("deadline", self.config.default_deadline)

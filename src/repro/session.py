@@ -18,7 +18,7 @@ A :class:`Session` owns that cross-cutting state once:
 * a lazily-started persistent :class:`~repro.campaign.CampaignPool` —
   the first batch verb on a multi-worker session spins the pool up, and
   every later batch reuses the warm workers (and their per-process
-  simulators and context caches);
+  context caches);
 * session **defaults** (``model=``, ``engine=``, ``strategy=``,
   ``processes=``, ``cache_size=``) applied by every verb unless
   overridden per call.
@@ -100,7 +100,9 @@ class Session:
     engine choice); ``strategy`` defaults the fence-placement
     strategy; ``processes``
     (``None`` for serial, an int, or ``"auto"`` for one worker per
-    core) sizes the campaign pool batch verbs fan out on;
+    core) sizes the campaign pool batch verbs fan out on, whatever
+    form the model takes (one that does not pickle runs in-process,
+    with a :class:`~repro.campaign.CampaignPicklingWarning`);
     ``cache_size`` bounds the shared context cache (``None`` for
     unbounded).  Sessions are context managers — leaving the ``with``
     block shuts the pool down.
@@ -322,19 +324,6 @@ class Session:
             self._pool = CampaignPool(self.processes, policy=self.policy)
         return self._pool
 
-    def _dispatch(self, model: Optional[ModelLike]):
-        """How a batch verb should run: ``(model argument, pool)``.
-
-        Multi-worker sessions ship the model *name* plus the warm pool,
-        so workers re-hydrate and memoize it per process; serial
-        sessions (and unpicklable custom models) pass the resolved
-        model object and run in-process on the session caches.
-        """
-        spec = self.model if model is None else model
-        if isinstance(spec, str) and self.workers > 1:
-            return spec, self.pool()
-        return self.resolve(spec), None
-
     def _fresh_errors(self) -> ErrorRing:
         """Reset and return :attr:`last_errors` for the next batch verb."""
         self.last_errors.clear()
@@ -433,19 +422,25 @@ class Session:
                 tests, model, engine, keep_candidates, stop_at_first_violation, until
             )
         batch = list(tests)
-        spec = self.model if model is None else model
         if (
-            isinstance(spec, str)
-            and self.workers > 1
+            self.workers > 1
             and len(batch) > 1
             and not keep_candidates
             and stop_at_first_violation
         ):
-            from repro.campaign.jobs import SimulateJob, simulate_chunk
+            from repro.campaign.jobs import (
+                SimulateJob,
+                caller_context_cache,
+                simulate_chunk,
+            )
 
+            resolved = self.resolve(model)
             effective = self.engine if engine is None else engine
-            jobs = [SimulateJob(test, spec, effective, until) for test in batch]
-            return self.pool().run(simulate_chunk, jobs, errors=self._fresh_errors())
+            jobs = [SimulateJob(test, resolved, effective, until) for test in batch]
+            with caller_context_cache(self.context_cache):
+                return self.pool().run(
+                    simulate_chunk, jobs, errors=self._fresh_errors()
+                )
         simulator = self.simulator(model, engine)
         return [
             simulator.run(
@@ -500,14 +495,13 @@ class Session:
         from repro.diy.families import sweep_family
 
         batch = [tests] if isinstance(tests, LitmusTest) else list(tests)
-        model_arg, pool = self._dispatch(model)
         return sweep_family(
             batch,
-            model_arg,
+            self.resolve(model),
             processes=self.processes,
             engine=self.engine if engine is None else engine,
             context_cache=self.context_cache,
-            pool=pool,
+            pool=self.pool(),
             errors=self._fresh_errors(),
         )
 
@@ -528,19 +522,12 @@ class Session:
         ``model_b`` defaults to the session model; ``budget`` (a
         :class:`~repro.compare.corpus.CorpusBudget`) or ``tests``
         selects the corpus.  Paired verdicts shard over the session's
-        warm pool when both models are names; either way both models'
+        warm pool on a multi-worker session; either way both models'
         verdicts of one test share a single cached simulation context.
         """
         from repro.compare.engine import compare_models
 
         model_b = self.model if model_b is None else model_b
-        pool = None
-        if (
-            isinstance(model_a, str)
-            and isinstance(model_b, str)
-            and self.workers > 1
-        ):
-            pool = self.pool()
         return compare_models(
             model_a,
             model_b,
@@ -548,7 +535,7 @@ class Session:
             tests=tests,
             engine=self.engine if engine is None else engine,
             processes=self.processes,
-            pool=pool,
+            pool=self.pool(),
             context_cache=self.context_cache,
             errors=self._fresh_errors(),
         )
@@ -582,14 +569,13 @@ class Session:
             return report
         from repro.fences.campaign import repair_family
 
-        model_arg, pool = self._dispatch(model)
         result = repair_family(
             list(tests),
-            model_arg,
+            self.resolve(model),
             processes=self.processes,
             cache=self.cycle_cache,
             context_cache=self.context_cache,
-            pool=pool,
+            pool=self.pool(),
             strategy=strategy,
             errors=self._fresh_errors(),
         )
@@ -646,16 +632,15 @@ class Session:
             )
         from repro.hardware.testing import run_campaign
 
-        model_arg, pool = self._dispatch(model)
         return run_campaign(
             list(tests),
             chips,
-            model_arg,
+            self.resolve(model),
             iterations=iterations,
             seed=seed,
             processes=self.processes,
             context_cache=self.context_cache,
-            pool=pool,
+            pool=self.pool(),
             errors=self._fresh_errors(),
         )
 
@@ -734,13 +719,12 @@ class Session:
             return checker.verify_litmus(items)
         from repro.verification.bmc import verify_batch
 
-        model_arg, pool = self._dispatch(model)
         return verify_batch(
             list(items),
-            model_arg,
+            self.resolve(model),
             backend=backend,
             processes=self.processes,
-            pool=pool,
+            pool=self.pool(),
             errors=self._fresh_errors(),
         )
 

@@ -27,6 +27,8 @@ from typing import Any, Iterator, Optional
 
 __all__ = ["BoundedTTLCache"]
 
+_MISSING = object()
+
 
 class BoundedTTLCache(MutableMapping):
     """An LRU mapping bounded by entry count and idle time.
@@ -98,15 +100,25 @@ class BoundedTTLCache(MutableMapping):
         self._idled_out(len(stale))
         return len(stale)
 
-    def __getitem__(self, key: Any) -> Any:
-        entry = self._entries[key]
-        value, stamp = entry
-        if self._expired(stamp, self._clock()):
+    def get(self, key: Any, default: Any = None) -> Any:
+        """The value of *key*, refreshing its clock, or *default* when
+        absent or idle-expired (one lookup: the hot path of the owners)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return default
+        now = self._clock()
+        if self._expired(entry[1], now):
             del self._entries[key]
             self._idled_out()
-            raise KeyError(key)
-        entry[1] = self._clock()
+            return default
+        entry[1] = now
         self._entries.move_to_end(key)
+        return entry[0]
+
+    def __getitem__(self, key: Any) -> Any:
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
+            raise KeyError(key)
         return value
 
     def __setitem__(self, key: Any, value: Any) -> None:

@@ -342,10 +342,9 @@ def verify_batch(
     The batch path of the Tab. X/XI experiments: one checker decides the
     whole batch (constructed once, not per item), and ``processes`` (an
     int, or ``"auto"`` for one worker per core) shards the queries over
-    the campaign runtime — the model must then be a *name*, so workers
-    re-hydrate and memoize their own checker per process.  Results come
-    back in batch order; ``elapsed_seconds`` is measured wherever the
-    query actually ran.
+    the campaign runtime, each worker building a checker per query.
+    Results come back in batch order; ``elapsed_seconds`` is
+    measured wherever the query actually ran.
 
     ``policy`` (a :class:`~repro.campaign.SupervisorPolicy`, or the
     pool's own default) makes the sharded batch fault-tolerant:
@@ -356,10 +355,9 @@ def verify_batch(
     from repro.campaign import runner as campaign_runner
 
     items = list(items)
-    sharded = (
+    if (
         pool is not None or campaign_runner.worker_count(processes) > 1
-    ) and isinstance(model, str)
-    if sharded and len(items) > 1:
+    ) and len(items) > 1:
         from repro.campaign.jobs import BmcJob, bmc_chunk
 
         return campaign_runner.run_sharded(

@@ -23,12 +23,15 @@ from repro.campaign import (
     test_fingerprint,
     worker_count,
 )
+from repro.cat import builtin_model_names, load_builtin_model
+from repro.core.architectures import ARCHITECTURES
+from repro.core.model import Model
 from repro.diy.families import sweep_family, two_thread_family
 from repro.fences.campaign import repair_family
 from repro.fences.validate import repair_test
 from repro.hardware import default_arm_chips, default_power_chips, run_campaign
 from repro.herd.simulator import Simulator, resolve_model
-from repro.litmus.registry import get_test
+from repro.litmus.registry import all_tests, get_test
 from repro.mole import analyse_corpus, debian_corpus
 from repro.verification import verify_batch
 from repro.verification.examples import all_examples
@@ -162,24 +165,30 @@ def test_sharded_hardware_campaign_arm_errata_match_serial():
     assert serial.results == sharded.results
 
 
-def test_sharded_hardware_campaign_custom_chip_falls_back_to_serial():
+def test_sharded_hardware_campaign_custom_chip_matches_serial():
+    """A custom chip travels to the workers as it is: a same-named chip
+    with a swapped implementation model is never rebuilt as the default
+    one, and the workers observe exactly what the serial run does."""
     import dataclasses
+    import warnings
 
+    from repro.campaign import CampaignPicklingWarning
     from repro.core.architectures import power_architecture
     from repro.core.model import Model
-    from repro.hardware.testing import _chip_references
 
     chips = default_power_chips()[:2]
-    assert _chip_references(chips) == ("Power6", "Power7")
-    # A same-named chip with a swapped implementation model is custom:
-    # workers must not silently rebuild the default in its place.
     custom = dataclasses.replace(chips[0], implementation=Model(power_architecture()))
-    assert _chip_references([custom, chips[1]]) is None
     tests = _family()[:3]
     serial = run_campaign(tests, [custom, chips[1]], "power", iterations=5_000)
-    sharded = run_campaign(
-        tests, [custom, chips[1]], "power", iterations=5_000, processes=2, chunk_size=1
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CampaignPicklingWarning)
+        with CampaignPool(2) as pool:
+            sharded = run_campaign(
+                tests, [custom, chips[1]], "power", iterations=5_000,
+                pool=pool, chunk_size=1,
+            )
+            assert pool._supervised.alive == 2  # the workers spawned
+            assert pool.counters["unpicklable_payloads"] == 0
     assert serial.results == sharded.results
 
 
@@ -209,6 +218,15 @@ def test_sharded_family_sweep_canonicalizes_model_name():
     assert serial.verdicts == sharded.verdicts
 
 
+def test_repair_family_canonicalizes_model_name_like_sweep_family():
+    tests = _family()[:4]
+    serial = repair_family(tests, "Power")
+    sharded = repair_family(tests, "Power", processes=2, chunk_size=2)
+    assert serial.model_name == sharded.model_name == "power"
+    assert serial.model_name == sweep_family(tests, "Power").model_name
+    assert serial.reports == sharded.reports
+
+
 def test_run_sharded_single_shard_stays_in_process():
     # One shard has no parallelism to win; the runner must run it in
     # this very process (observable through side effects on a local).
@@ -222,6 +240,25 @@ def test_run_sharded_single_shard_stays_in_process():
     results = run_sharded(record_chunk, jobs, payload=1, processes=4, chunk_size=8)
     assert results == [item + 1 for item in jobs]
     assert seen == jobs  # ran here, not in a forked worker
+
+
+def test_in_process_chunks_use_the_callers_context_cache():
+    # A one-chunk batch runs in this process: its contexts belong in
+    # the cache the caller passed (a batch-local one without), never in
+    # the process-global cache a worker keeps.
+    from repro.campaign import jobs
+
+    tests = _family()[:6]
+    hidden = jobs._CONTEXT_CACHE
+    hidden_lookups = None if hidden is None else hidden.hits + hidden.misses
+    cache = ContextCache()
+    swept = sweep_family(tests, "power", processes=2, context_cache=cache)
+    assert swept.verdicts == sweep_family(tests, "power").verdicts
+    assert (cache.hits, cache.misses) == (0, len(tests))
+    sweep_family(tests, "power", processes=2)
+    assert jobs._CONTEXT_CACHE is hidden
+    if hidden is not None:
+        assert hidden.hits + hidden.misses == hidden_lookups
 
 
 def test_sharded_bmc_batch_matches_serial():
@@ -367,6 +404,48 @@ def test_relation_and_index_caches_are_dropped_on_pickle():
     assert index_clone._mask_cache == {}
     assert index_clone.n == context.index.n
     assert index_clone.events == context.index.events
+
+
+def _registry_contexts():
+    cache = ContextCache(capacity=None)
+    return [(test, cache.get(test)) for test in all_tests()]
+
+
+@pytest.mark.parametrize("name", sorted(ARCHITECTURES))
+def test_every_architecture_pickles_and_judges_alike(name):
+    """Every built-in architecture crosses a process boundary intact:
+    the unpickled model's verdicts on the registry are the original's."""
+    model = Model(ARCHITECTURES[name]())
+    original, copy = Simulator(model), Simulator(pickle.loads(pickle.dumps(model)))
+    for test, context in _registry_contexts():
+        assert copy.verdict(test, context=context) == original.verdict(
+            test, context=context
+        ), test.name
+
+
+@pytest.mark.parametrize("name", builtin_model_names())
+def test_every_cat_model_pickles_and_judges_alike(name):
+    model = load_builtin_model(name)
+    original, copy = Simulator(model), Simulator(pickle.loads(pickle.dumps(model)))
+    for test, context in _registry_contexts():
+        assert copy.verdict(test, context=context) == original.verdict(
+            test, context=context
+        ), test.name
+
+
+@pytest.mark.parametrize(
+    "chip", default_power_chips() + default_arm_chips(), ids=lambda chip: chip.name
+)
+def test_every_chip_pickles_and_observes_alike(chip):
+    """A chip's implementation and errata models survive pickling: the
+    copy observes on the registry exactly what the original does."""
+    import random
+
+    copy = pickle.loads(pickle.dumps(chip))
+    for test, context in _registry_contexts():
+        assert copy.observed_outcomes(
+            test, 10_000, random.Random(7), context
+        ) == chip.observed_outcomes(test, 10_000, random.Random(7), context), test.name
 
 
 def test_resolve_model_is_idempotent_and_shared():

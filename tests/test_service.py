@@ -46,6 +46,22 @@ X86 sb
 exists (0:r2=0 /\\ 1:r2=0)
 """
 
+#: Parses, but its load reads an address register holding a number.
+UNRUNNABLE = """
+PPC unrunnable
+{ 0:r2=1; }
+ P0           ;
+ lwz r1,0(r2) ;
+exists (0:r1=0)
+"""
+
+#: Forty loads over {0, 1}: parses and runs, but has 2**40 thread paths.
+EXPONENTIAL = (
+    "PPC exponential\n{ x=1; 0:r2=x; }\n P0 ;\n"
+    + " lwz r1,0(r2) ;\n" * 40
+    + "exists (0:r1=0)\n"
+)
+
 #: A JSON body nesting deeper than ``json.loads`` can recurse.
 DEEPLY_NESTED = b"[" * 100_000 + b"]" * 100_000
 
@@ -110,6 +126,36 @@ def test_source_submissions_are_parsed_and_answered():
         bad = client.verdict([{"source": "not litmus at all"}])
         assert bad.status == 400
         assert "unparseable" in bad.error
+        # Parses, but no thread path can run: answered 400 before
+        # admission, never retried, quarantined or counted by the breaker.
+        for submit in (client.verdict, client.verdict, client.repair, client.verdict):
+            unrunnable = submit([{"source": UNRUNNABLE}], deadline=60.0)
+            assert unrunnable.status == 400
+            assert "cannot run" in unrunnable.error
+        stats = client.stats()
+        supervisor = stats["session"]["supervisor"]["counters"]
+        assert supervisor["retries"] == supervisor["quarantined"] == 0
+        assert stats["service"]["breaker"]["state"] == CLOSED
+
+
+def test_exponential_source_is_answered_within_its_deadline_and_drains():
+    config = ServiceConfig(port=0, batch_window=0.0, drain_window=2.0)
+    handle = make_service(config=config).start()
+    service = handle.service
+    client = ServiceClient(*handle.address, timeout=30.0)
+    started = time.monotonic()
+    # Admission's dry run stops at its step budget; the supervised
+    # worker then runs out of the request's deadline.
+    response = client.verdict([{"source": EXPONENTIAL}], deadline=2.0)
+    assert time.monotonic() - started < 10.0
+    assert response.ok
+    (line,) = response.results
+    assert line["status"] in ("timeout", "quarantined")
+    assert client.verdict(["sb"], deadline=30.0).ok
+    handle.request_drain()
+    handle.join(30.0)
+    assert not handle._thread.is_alive(), "the service must still drain"
+    assert service.session._pool is None
 
 
 def test_streaming_client_sees_lines_in_request_order():

@@ -252,16 +252,73 @@ def test_pooled_simulate_batch_equals_serial(family):
     assert pooled == serial
 
 
-def test_custom_model_objects_fall_back_to_serial(family):
-    """A resolved model object cannot cross process boundaries: batch
-    verbs must dispatch serially and still agree with the name path."""
+def test_model_objects_shard_on_the_session_workers(family):
+    """A resolved model and a cat model run their batches on the
+    session's workers, as does a custom chip population, and every
+    batch equals the serial run."""
+    import dataclasses
+    import warnings
+
+    from repro.campaign import CampaignPicklingWarning
+    from repro.cat import load_builtin_model
+    from repro.core.architectures import power_architecture
+    from repro.core.model import Model
     from repro.herd.simulator import resolve_model
 
-    model = resolve_model("power")
-    with Session(model=model, processes=2) as session:
-        swept = session.sweep(family[:6])
-        assert session._pool is None  # nothing to shard, nothing spawned
-    assert swept == sweep_family(family[:6], "power")
+    chips = default_power_chips()[:2]
+    custom = dataclasses.replace(chips[0], implementation=Model(power_architecture()))
+    for model in (resolve_model("power"), load_builtin_model("power")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CampaignPicklingWarning)
+            with Session(model=model, processes=2) as session:
+                swept = session.sweep(family[:6])
+                repaired = session.repair(family[:4])
+                observed = session.observe(
+                    family[:3], chips=[custom, chips[1]], iterations=5_000
+                )
+                pool = session._pool
+                assert pool._supervised.alive == 2  # the workers spawned
+                assert pool.counters["unpicklable_payloads"] == 0
+        assert swept == sweep_family(family[:6], model)
+        assert repaired.reports == repair_family(family[:4], model).reports
+        serial = run_campaign(family[:3], [custom, chips[1]], model, iterations=5_000)
+        assert observed.results == serial.results
+
+
+def test_unpicklable_model_runs_in_process_with_one_warning(family):
+    """An architecture built from lambdas cannot reach a worker: the
+    batch runs in-process, warns once, and equals the serial run."""
+    import warnings
+
+    from repro.campaign import CampaignPicklingWarning
+    from repro.core.architectures import sc_prop
+    from repro.core.model import Architecture
+    from repro.core.relation import Relation
+
+    custom = Architecture(
+        name="lambda-sc",
+        ppo_fn=lambda execution: execution.po,
+        fences_fn=lambda execution: Relation(),
+        prop_fn=sc_prop,
+    )
+    from repro.campaign import jobs
+
+    hidden = jobs._CONTEXT_CACHE
+    hidden_lookups = None if hidden is None else hidden.hits + hidden.misses
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with Session(model=custom, processes=2) as session:
+            swept = session.sweep(family)
+    assert [w.category for w in caught] == [CampaignPicklingWarning]
+    assert swept == sweep_family(family, custom)
+    assert swept.verdicts == sweep_family(family, "sc").verdicts
+    # The in-process chunks looked their contexts up in the session's
+    # cache, not in a process-global one.
+    cache = session.context_cache
+    assert cache.hits + cache.misses == len(family)
+    assert jobs._CONTEXT_CACHE is hidden
+    if hidden is not None:
+        assert hidden.hits + hidden.misses == hidden_lookups
 
 
 def test_session_close_is_idempotent_and_restarts_lazily(family):
