@@ -52,6 +52,7 @@ import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry as _telemetry
@@ -356,15 +357,6 @@ def item_label(item: Any) -> str:
         if isinstance(name, str):
             return name
     return repr(item)
-
-
-def is_pickling_error(exc: BaseException) -> bool:
-    """Does *exc* look like a pickling failure (not a worker bug)?"""
-    if isinstance(exc, pickle.PicklingError):
-        return True
-    return isinstance(exc, (TypeError, AttributeError, NotImplementedError)) and (
-        "pickle" in str(exc).lower()
-    )
 
 
 def find_unpicklable(obj: Any, path: str = "payload") -> Optional[Tuple[str, str, str]]:
@@ -703,27 +695,32 @@ class SupervisedPool:
             else:
                 fail_task(task, value.kind, value.error, value.traceback)
 
-        def assign(worker: _Worker, task: _Task) -> bool:
+        def encode(task: _Task) -> Optional[bytes]:
+            """*task*'s message, pickled once for :meth:`Connection.send_bytes`
+            — or None after running it here, in-process: a payload that
+            does not pickle can reach no worker, so it needs none."""
+            nonlocal warned_unpicklable
             task_id = self._task_ids = self._task_ids + 1
+            args = make_args(task.items)
             try:
-                worker.conn.send((task_id, run_worker, make_args(task.items)))
+                return ForkingPickler.dumps((task_id, run_worker, args))
             except Exception as exc:
-                if is_pickling_error(exc):
-                    # The payload cannot reach any worker: run the slice
-                    # here, in-process, and say exactly what would not
-                    # pickle.
-                    nonlocal warned_unpicklable
-                    _bump(self.counters, "unpicklable_payloads")
-                    if not warned_unpicklable:
-                        warned_unpicklable = True
-                        warn_unpicklable(make_args(task.items), exc)
-                    handle_outcome(task, guarded_call(run_worker, make_args(task.items)))
-                    return False
+                _bump(self.counters, "unpicklable_payloads")
+                if not warned_unpicklable:
+                    warned_unpicklable = True
+                    warn_unpicklable(args, exc)
+                handle_outcome(task, guarded_call(run_worker, args))
+                return None
+
+        def assign(worker: _Worker, task: _Task, message: bytes) -> None:
+            try:
+                worker.conn.send_bytes(message)
+            except Exception:
                 # A broken pipe: the worker died between tasks.  Replace
                 # it and put the task back — no attempt consumed.
                 self._replace(worker)
                 pending.append(task)
-                return False
+                return
             worker.task = task
             attempt_deadline = (
                 time.monotonic() + policy.chunk_timeout
@@ -738,7 +735,6 @@ class SupervisedPool:
                 )
             worker.deadline = attempt_deadline
             in_flight[id(worker)] = worker
-            return True
 
         def reap(worker: _Worker, kind: str, error: str) -> None:
             """A busy worker died or went overdue: salvage, heal, retry."""
@@ -810,13 +806,14 @@ class SupervisedPool:
                     if worker.task is None and not worker.process.is_alive():
                         _bump(self.counters, "worker_deaths")
                         self._replace(worker)
-                self._ensure_members()
                 idle = [
                     worker
                     for worker in self._members
                     if worker.task is None and worker.process.is_alive()
                 ]
-                for worker in idle:
+                # Each ready task is pickled before a worker is spawned
+                # for it: a payload that does not pickle starts none.
+                for _ in range(len(idle) + self.workers - len(self._members)):
                     ready_index = next(
                         (
                             index
@@ -827,7 +824,16 @@ class SupervisedPool:
                     )
                     if ready_index is None:
                         break
-                    assign(worker, pending.pop(ready_index))
+                    task = pending.pop(ready_index)
+                    message = encode(task)
+                    if message is None:
+                        continue
+                    if not idle:
+                        self._ensure_members()
+                        idle = [
+                            worker for worker in self._members if worker.task is None
+                        ]
+                    assign(idle.pop(0), task, message)
 
             if not in_flight:
                 if pending:

@@ -67,12 +67,17 @@ def builtin_environment(execution: Execution) -> Dict[str, Relation]:
         "ctrlisb": execution.ctrl_cfence,
         "rdw": execution.rdw,
         "detour": execution.detour,
-        "id": Relation.identity(execution.memory_events),
+        "id": execution.shared(_identity),
         "rmw": execution.rmw,
     }
     for fence in _FENCE_NAMES:
         env[fence] = execution.fence(fence)
     return env
+
+
+def _identity(execution: Execution) -> Relation:
+    """``id`` over the memory events, packed on the execution's own index."""
+    return Relation.from_bits(execution.po._index, 0).optional(execution.memory_events)
 
 
 class _Evaluator:
@@ -91,7 +96,7 @@ class _Evaluator:
     def evaluate(self, expr: ast.Expr) -> Relation:
         execution = self.execution
         if isinstance(expr, ast.EmptyRel):
-            return Relation()
+            return Relation.empty()
         if isinstance(expr, ast.Var):
             if expr.name not in self.environment:
                 known = ", ".join(sorted(self.environment))
@@ -154,7 +159,7 @@ class CatModel:
     ) -> None:
         """Least-fixpoint semantics for mutually recursive bindings."""
         for name, _ in statement.bindings:
-            environment[name] = Relation()
+            environment[name] = Relation.empty()
         while True:
             changed = False
             for name, expr in statement.bindings:

@@ -55,7 +55,7 @@ def arm_ffence(execution: Execution) -> Relation:
 
 def arm_lwfence(execution: Execution) -> Relation:
     """The proposed ARM model has no lightweight fence (Fig. 17)."""
-    return Relation()
+    return Relation.empty()
 
 
 def arm_fences(execution: Execution) -> Relation:

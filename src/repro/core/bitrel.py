@@ -1,24 +1,33 @@
-"""Dense integer kernel for relations: interning and bitmask rows.
+"""Dense integer kernel for relations: one int per relation.
 
 The hot path of the simulator manipulates relations over a *fixed,
 small* universe of events (one candidate family shares a single event
-set across every rf/co choice).  Instead of frozensets of
-``(Event, Event)`` pairs, the kernel assigns each event a dense integer
-id and stores a relation as one Python int per source — bit ``j`` of
-``rows[i]`` meaning ``(event_i, event_j)``.  Union, intersection,
-difference, relational sequence, transitive closure and acyclicity then
-become word-parallel bitwise operations; on litmus-sized universes
-(tens of events) every row fits a machine word.
+set across every rf/co choice).  The kernel assigns each event of the
+universe a dense id and stores a relation over ``n`` events as one
+Python int of ``n²`` bits: bit ``i·n + j`` means ``(event_i,
+event_j)``, so row ``i`` — the successors of ``event_i`` — is the
+``n``-bit field at ``i·n``.  Litmus universes are small (the largest
+tier-1 universe has 21 events: a 441-bit int).
+
+On that form union, intersection and difference are one int
+operation; a restriction (``internal``, ``same_location``, direction
+filters) is one AND with an ``n²``-bit mask; and, with ``COL0`` (bit
+``i·n`` for every ``i``) and ``DIAG`` (bit ``i·(n+1)``):
+
+* sequence ``A; B`` adds ``((A >> k) & COL0) * row_k(B)`` for every
+  non-empty row ``k`` of ``B`` — the column ``k`` of ``A`` selects the
+  rows that reach ``k``, and the product copies ``row_k(B)`` into each;
+* Warshall's closure does the same with ``A = B = R`` for ``k`` in
+  ``0…n−1``, updating ``R`` in place;
+* acyclicity is ``closure & DIAG == 0``.
 
 Two layers live here:
 
-* module-level row primitives (pure ``list[int]`` in, ``list[int]``
-  out) with no knowledge of events;
+* module-level primitives on packed ints, with no knowledge of events;
 * :class:`EventIndex`, the interning table mapping a universe of events
-  to ids, with precomputed per-thread / per-location / read / write
-  masks used by :class:`repro.core.relation.Relation` to answer
-  ``internal()``, ``same_location()``, ``restrict()`` etc. without pair
-  scans.
+  to ids, with the per-thread / per-location / read / write masks
+  :class:`repro.core.relation.Relation` needs to answer ``internal()``,
+  ``same_location()``, ``restrict()`` etc. without pair scans.
 
 :class:`EventIndex` is deliberately duck-typed: any orderable, hashable
 node with optional ``thread`` / ``location`` attributes and
@@ -29,15 +38,13 @@ multi-event model interns its per-thread propagation copies).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.events import MemoryRead, MemoryWrite
 
-Rows = Sequence[int]
-
 
 # ---------------------------------------------------------------------------
-# Row primitives
+# Packed-relation primitives
 # ---------------------------------------------------------------------------
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -48,70 +55,105 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def rows_seq(left: Rows, right: Rows) -> List[int]:
-    """Relational sequence ``left; right`` on successor rows."""
-    out = []
-    for row in left:
-        targets = 0
-        while row:
-            low = row & -row
-            targets |= right[low.bit_length() - 1]
-            row ^= low
-        out.append(targets)
+#: n -> (COL0, DIAG): bit ``i·n`` resp. ``i·(n+1)`` for every i < n.
+_UNIT_MASKS: Dict[int, Tuple[int, int]] = {0: (0, 0)}
+
+
+def unit_masks(n: int) -> Tuple[int, int]:
+    """``(COL0, DIAG)`` of an ``n``-event universe (cached per n)."""
+    masks = _UNIT_MASKS.get(n)
+    if masks is None:
+        # Geometric series: sum of 2^(i·step) for i < n.
+        masks = _UNIT_MASKS[n] = (
+            ((1 << n * n) - 1) // ((1 << n) - 1),
+            ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1),
+        )
+    return masks
+
+
+def spread(mask: int, n: int) -> int:
+    """Move bit ``i`` of an event mask to bit ``i·n`` (row ``i``'s base)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (low.bit_length() - 1) * n
+        mask ^= low
     return out
 
 
-def rows_inverse(rows: Rows) -> List[int]:
-    """Transpose: bit ``j`` of ``out[i]`` iff bit ``i`` of ``rows[j]``."""
-    out = [0] * len(rows)
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
+def rows(bits: int, n: int) -> List[int]:
+    """Decode a packed relation into its ``n`` successor rows."""
+    row_mask = (1 << n) - 1
+    return [(bits >> i * n) & row_mask for i in range(n)]
+
+
+def nodes(bits: int, n: int) -> int:
+    """Event mask of the relation's domain ∪ range."""
+    row_mask = (1 << n) - 1
+    out = 0
+    i = 0
+    while bits:
+        row = bits & row_mask
+        if row:
+            out |= row | 1 << i
+        bits >>= n
+        i += 1
     return out
 
 
-def rows_closure(rows: Rows) -> List[int]:
-    """Transitive closure (bit-parallel Warshall: O(n²) word operations)."""
-    closure = list(rows)
-    for k, row_k in enumerate(closure):
-        if not row_k:
-            continue
-        bit = 1 << k
-        for i, row_i in enumerate(closure):
-            if row_i & bit:
-                closure[i] = row_i | closure[k]
-        # closure[k] may have grown through itself; rereads above use the
-        # freshest value, and the outer loop guarantees completeness once
-        # every intermediate node has been processed.
-    return closure
+def seq(left: int, right: int, n: int, col0: int) -> int:
+    """Relational sequence ``left; right``: one multiply per non-empty
+    row of *right*."""
+    if not left:
+        return 0
+    row_mask = (1 << n) - 1
+    out = 0
+    while right:
+        k = ((right & -right).bit_length() - 1) // n
+        shift = k * n
+        row = (right >> shift) & row_mask
+        right ^= row << shift
+        column = (left >> k) & col0
+        if column:
+            out |= column * row
+    return out
 
 
-def rows_has_cycle(closure: Rows) -> bool:
-    """Does the *closed* relation contain a cycle (a diagonal bit)?"""
-    return any((row >> i) & 1 for i, row in enumerate(closure))
+def closure(bits: int, n: int, col0: int) -> int:
+    """Transitive closure (Warshall, ``n`` steps of a few int operations)."""
+    row_mask = (1 << n) - 1
+    for k in range(n):
+        column = (bits >> k) & col0
+        if column:
+            row = (bits >> k * n) & row_mask
+            if row:
+                bits |= column * row
+    return bits
 
 
-def rows_find_cycle(rows: Rows, closure: Optional[Rows] = None) -> Optional[List[int]]:
-    """One cycle as ids ``[n0, n1, ..., n0]``, or None.
+def transpose(bits: int, n: int) -> int:
+    """Inverse relation: bit ``j·n + i`` for every set bit ``i·n + j``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        i, j = divmod(low.bit_length() - 1, n)
+        out |= 1 << j * n + i
+        bits ^= low
+    return out
 
-    Deterministic: starts from the smallest id lying on a cycle and
-    returns a BFS-shortest path back to it (ties broken by ascending id).
+
+def find_cycle(bits: int, n: int, start: int) -> List[int]:
+    """A cycle through *start* as ids ``[start, ..., start]``.
+
+    BFS-shortest, ties broken by ascending id; only the rows it visits
+    are decoded.  *start* must lie on a cycle.
     """
-    if closure is None:
-        closure = rows_closure(rows)
-    start = next(
-        (i for i, row in enumerate(closure) if (row >> i) & 1), None
-    )
-    if start is None:
-        return None
+    row_mask = (1 << n) - 1
     parent: Dict[int, Optional[int]] = {start: None}
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for succ in iter_bits(rows[node]):
+        for succ in iter_bits((bits >> node * n) & row_mask):
             if succ == start:
                 path = [node]
                 while parent[node] is not None:
@@ -123,7 +165,7 @@ def rows_find_cycle(rows: Rows, closure: Optional[Rows] = None) -> Optional[List
             if succ not in parent:
                 parent[succ] = node
                 queue.append(succ)
-    return None  # pragma: no cover - start lies on a cycle by construction
+    raise ValueError(f"event {start} lies on no cycle")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +176,9 @@ class EventIndex:
     """Interning table: a fixed universe of events with dense integer ids.
 
     The universe is sorted at construction so ids — and therefore every
-    enumeration order derived from the kernel — are deterministic.
+    enumeration order derived from the kernel — are deterministic.  The
+    ``n²``-bit masks (same thread, same location, source × target pairs)
+    are built on first use: most universes never need all of them.
     """
 
     __slots__ = (
@@ -142,13 +186,15 @@ class EventIndex:
         "ids",
         "n",
         "all_mask",
+        "col0",
+        "diag",
         "thread_masks",
         "location_masks",
-        "internal_masks",
-        "same_location_masks",
         "reads_mask",
         "writes_mask",
         "init_mask",
+        "_internal",
+        "_same_location",
         "_mask_cache",
     )
 
@@ -161,6 +207,7 @@ class EventIndex:
         self.ids = {event: i for i, event in enumerate(universe)}
         self.n = len(universe)
         self.all_mask = (1 << self.n) - 1
+        self.col0, self.diag = unit_masks(self.n)
 
         thread_masks: Dict = {}
         location_masks: Dict = {}
@@ -198,14 +245,8 @@ class EventIndex:
         self.reads_mask = reads_mask
         self.writes_mask = writes_mask
         self.init_mask = init_mask
-        # Per-source masks: events on the same thread / at the same location.
-        self.internal_masks = [
-            thread_masks.get(getattr(event, "thread", None), 0) for event in universe
-        ]
-        self.same_location_masks = [
-            location_masks.get(loc, 0) if (loc := getattr(event, "location", None)) is not None else 0
-            for event in universe
-        ]
+        self._internal: Optional[int] = None
+        self._same_location: Optional[int] = None
         self._mask_cache: Dict = {}
 
     def __contains__(self, event) -> bool:
@@ -215,29 +256,32 @@ class EventIndex:
         return f"EventIndex({self.n} events)"
 
     def __getstate__(self) -> dict:
-        # The mask memo is keyed by frozensets of events from the parent
-        # process; it is a pure cache, so never ship it across a process
-        # boundary — workers rebuild their own as they go.
+        # The masks built on first use and the mask memo (keyed by
+        # frozensets of the parent process's events) are pure caches:
+        # never ship them across a process boundary — workers rebuild
+        # their own as they go.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "_mask_cache"
+            if not slot.startswith("_")
         }
 
     def __setstate__(self, state: dict) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
+        self._internal = self._same_location = None
         self._mask_cache = {}
-
-    def id_of(self, event) -> int:
-        return self.ids[event]
 
     def mask_of(self, events: Iterable) -> int:
         """Bit mask of the given events (unknown events are skipped).
 
         Frozensets are memoized: the direction filters (``restrict_ww``
-        and friends) pass the same cached event sets over and over.
+        and friends) pass the same cached event sets over and over.  The
+        empty universe memoizes nothing — it is shared for the life of
+        the process.
         """
+        if not self.n:
+            return 0
         if isinstance(events, frozenset):
             cached = self._mask_cache.get(events)
             if cached is not None:
@@ -256,30 +300,75 @@ class EventIndex:
         universe = self.events
         return [universe[i] for i in iter_bits(mask)]
 
-    def rows_of_pairs(self, pairs: Iterable[Tuple]) -> Optional[List[int]]:
-        """Successor rows for a pair set, or None if any event is foreign."""
+    # -- n²-bit masks ----------------------------------------------------------
+
+    def identity(self, mask: int) -> int:
+        """The packed identity over the events of *mask*."""
+        return (mask * self.col0) & self.diag
+
+    def pair_mask(self, sources: int, targets: int) -> int:
+        """Every pair from an event of *sources* to one of *targets*
+        (memoized per mask pair)."""
+        key = (sources, targets)
+        mask = self._mask_cache.get(key)
+        if mask is None:
+            mask = self._mask_cache[key] = spread(sources, self.n) * targets
+        return mask
+
+    def internal_mask(self) -> int:
+        """Every pair of events on one thread."""
+        if self._internal is None:
+            self._internal = self._blocks(self.thread_masks)
+        return self._internal
+
+    def same_location_mask(self) -> int:
+        """Every pair of events at one location."""
+        if self._same_location is None:
+            self._same_location = self._blocks(self.location_masks)
+        return self._same_location
+
+    def _blocks(self, groups: Dict) -> int:
+        n = self.n
+        return sum(spread(mask, n) * mask for mask in groups.values())
+
+    # -- packing ----------------------------------------------------------------
+
+    def bits_of_pairs(self, pairs: Iterable[Tuple]) -> Optional[int]:
+        """The packed relation of a pair set, or None if any event is foreign."""
         ids = self.ids
-        rows = [0] * self.n
+        n = self.n
+        bits = 0
         for src, dst in pairs:
             i = ids.get(src)
             j = ids.get(dst)
             if i is None or j is None:
                 return None
-            rows[i] |= 1 << j
-        return rows
+            bits |= 1 << i * n + j
+        return bits
 
-    def order_rows(self, ordered: Sequence) -> List[int]:
-        """Rows of the strict total order ``ordered[0] < ordered[1] < ...``."""
-        rows = [0] * self.n
-        later = 0
-        for event in reversed(ordered):
-            rows[self.ids[event]] = later
-            later |= 1 << self.ids[event]
-        return rows
+    def repack(self, bits: int, source: "EventIndex") -> Optional[int]:
+        """A relation packed over *source* re-packed over this index, or
+        None if one of its events is foreign here."""
+        ids = self.ids
+        events = source.events
+        m = source.n
+        n = self.n
+        out = 0
+        while bits:
+            low = bits & -bits
+            i, j = divmod(low.bit_length() - 1, m)
+            a = ids.get(events[i])
+            b = ids.get(events[j])
+            if a is None or b is None:
+                return None
+            out |= 1 << a * n + b
+            bits ^= low
+        return out
 
-    def pairs_of_rows(self, rows: Rows) -> Iterator[Tuple]:
+    def pairs_of(self, bits: int) -> Iterator[Tuple]:
+        """The event pairs of a packed relation, in ascending bit order."""
         universe = self.events
-        for i, row in enumerate(rows):
-            src = universe[i]
-            for j in iter_bits(row):
-                yield (src, universe[j])
+        n = self.n
+        for p in iter_bits(bits):
+            i, j = divmod(p, n)
+            yield (universe[i], universe[j])

@@ -202,8 +202,8 @@ class Execution:
     def fr(self) -> Relation:
         """From-read: read r -> write w1 when r reads from w0 co-before w1.
 
-        Computed as ``rf⁻¹; co`` so kernel-backed rf/co stay in the
-        bitmask kernel (see :mod:`repro.core.bitrel`).
+        Computed as ``rf⁻¹; co``, on the packed kernel (see
+        :mod:`repro.core.bitrel`).
         """
         return self.rf.inverse().seq(self.co)
 
@@ -302,9 +302,9 @@ class Execution:
 
     def fence(self, *names: str) -> Relation:
         """Union of the named per-fence relations (missing names are empty)."""
-        result = Relation()
+        empty = result = Relation.empty()
         for name in names:
-            result = result | self.fences_by_name.get(name, Relation())
+            result = result | self.fences_by_name.get(name, empty)
         return result
 
     @property

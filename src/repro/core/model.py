@@ -27,7 +27,7 @@ def no_relation(execution: Execution) -> Relation:
     """The empty relation: the fences of a model without fences, and
     the default full fence.  A module-level function, so architectures
     using it pickle."""
-    return Relation()
+    return Relation.empty()
 
 
 @dataclass(frozen=True)

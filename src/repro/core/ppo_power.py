@@ -34,19 +34,20 @@ Sec. 8.2 (``rdw`` removed from ``ii0`` and ``detour`` removed from
 ``ci0``), used by the ablation benchmark.
 
 Only ``ii0`` and ``ci0`` depend on rf and co.  ``cc0`` is computed once
-per combination of thread paths, and the fixpoint once per distinct
-``(ii0, ci0)`` in it, both through the memo the combination's
-executions share (:meth:`~repro.core.execution.Execution.shared`).
+per combination of thread paths, and the fixpoint — run on packed ints
+(:mod:`repro.core.bitrel`) — once per distinct ``(ii0, ci0)`` in it,
+both through the memo the combination's executions share
+(:meth:`~repro.core.execution.Execution.shared`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
-from repro.core.bitrel import rows_seq
+from repro.core.bitrel import seq
 from repro.core.execution import Execution
-from repro.core.relation import Relation
+from repro.core.relation import Relation, common_bits
 
 
 @dataclass(frozen=True)
@@ -61,45 +62,22 @@ class PpoComponents:
 
 
 def _fixpoint(
-    ii0: Relation, ic0: Relation, ci0: Relation, cc0: Relation
-) -> Tuple[Relation, Relation, Relation, Relation]:
-    """Least fixpoint of the four recursive equations of Fig. 25."""
-    ii, ic, ci, cc = ii0, ic0, ci0, cc0
-    while True:
-        new_ii = ii0 | ci | ic.seq(ci) | ii.seq(ii)
-        new_ic = ic0 | ii | cc | ic.seq(cc) | ii.seq(ic)
-        new_ci = ci0 | ci.seq(ii) | cc.seq(ci)
-        new_cc = cc0 | ci | ci.seq(ic) | cc.seq(cc)
-        if (new_ii, new_ic, new_ci, new_cc) == (ii, ic, ci, cc):
-            return ii, ic, ci, cc
-        ii, ic, ci, cc = new_ii, new_ic, new_ci, new_cc
-
-
-def _fixpoint_rows(
-    ii0: List[int], ic0: List[int], ci0: List[int], cc0: List[int]
-) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """The same fixpoint, run on raw successor rows of the bitmask kernel.
+    ii0: int, ci0: int, cc0: int, n: int, col0: int
+) -> Tuple[int, int, int, int]:
+    """Least fixpoint of the four recursive equations of Fig. 25, on
+    packed relations over one ``n``-event index (``ic0`` is empty).
 
     This is the hottest loop of a Power/ARM model check; working on
-    plain lists of ints sidesteps one Relation allocation per operator
-    per iteration.
+    plain ints sidesteps one Relation allocation per operator per
+    iteration.
     """
-    ii, ic, ci, cc = list(ii0), list(ic0), list(ci0), list(cc0)
-    indices = range(len(ii))
+    ii, ic, ci, cc = ii0, 0, ci0, cc0
     while True:
-        ic_ci = rows_seq(ic, ci)
-        ii_ii = rows_seq(ii, ii)
-        new_ii = [ii0[i] | ci[i] | ic_ci[i] | ii_ii[i] for i in indices]
-        ic_cc = rows_seq(ic, cc)
-        ii_ic = rows_seq(ii, ic)
-        new_ic = [ic0[i] | ii[i] | cc[i] | ic_cc[i] | ii_ic[i] for i in indices]
-        ci_ii = rows_seq(ci, ii)
-        cc_ci = rows_seq(cc, ci)
-        new_ci = [ci0[i] | ci_ii[i] | cc_ci[i] for i in indices]
-        ci_ic = rows_seq(ci, ic)
-        cc_cc = rows_seq(cc, cc)
-        new_cc = [cc0[i] | ci[i] | ci_ic[i] | cc_cc[i] for i in indices]
-        if (new_ii, new_ic, new_ci, new_cc) == (ii, ic, ci, cc):
+        new_ii = ii0 | ci | seq(ic, ci, n, col0) | seq(ii, ii, n, col0)
+        new_ic = ii | cc | seq(ic, cc, n, col0) | seq(ii, ic, n, col0)
+        new_ci = ci0 | seq(ci, ii, n, col0) | seq(cc, ci, n, col0)
+        new_cc = cc0 | ci | seq(ci, ic, n, col0) | seq(cc, cc, n, col0)
+        if new_ii == ii and new_ic == ic and new_ci == ci and new_cc == cc:
             return ii, ic, ci, cc
         ii, ic, ci, cc = new_ii, new_ic, new_ci, new_cc
 
@@ -122,51 +100,28 @@ def ppo_components(
         Setting either to False gives the "more static" ppo variant
         discussed at the end of Sec. 8.2.
     """
-    rdw = execution.rdw if include_rdw else Relation()
-    detour = execution.detour if include_detour else Relation()
+    rdw = execution.rdw if include_rdw else Relation.empty()
+    detour = execution.detour if include_detour else Relation.empty()
 
     ii0 = execution.dp | rdw | execution.rfi
-    ic0 = Relation()
     ci0 = execution.ctrl_cfence | detour
     cc0_of = _power_cc0 if include_po_loc_in_cc0 else _arm_cc0
     cc0 = execution.shared(cc0_of)
 
-    index = ii0._index
-    if (
-        index is not None
-        and ci0._index is index
-        and cc0._index is index
-    ):
-        # Kernel fast path: iterate on raw rows, wrap once at the end.
-        # Within one combination the solution depends on ii0 and ci0 only.
-        key = (cc0_of, ii0._rows, ci0._rows)
-        components = execution.memo.get(key)
-        if components is not None:
-            return components
-        zero = [0] * index.n
-        ii_r, ic_r, ci_r, cc_r = _fixpoint_rows(
-            list(ii0._rows), zero, list(ci0._rows), list(cc0._rows)
+    # Within one combination the solution depends on ii0 and ci0 only.
+    index, (ii0_bits, ci0_bits, cc0_bits) = common_bits(ii0, ci0, cc0)
+    key = (cc0_of, index, ii0_bits, ci0_bits)
+    components = execution.memo.get(key)
+    if components is None:
+        ii, ic, ci, cc = _fixpoint(ii0_bits, ci0_bits, cc0_bits, index.n, index.col0)
+        reads = index.reads_mask
+        ppo = (ii & index.pair_mask(reads, reads)) | (
+            ic & index.pair_mask(reads, index.writes_mask)
         )
-        reads_mask = index.reads_mask
-        writes_mask = index.writes_mask
-        ppo_rows = [
-            ((ii_r[i] & reads_mask) | (ic_r[i] & writes_mask))
-            if reads_mask >> i & 1
-            else 0
-            for i in range(index.n)
-        ]
         components = execution.memo[key] = PpoComponents(
-            ii=Relation.from_rows(index, ii_r),
-            ic=Relation.from_rows(index, ic_r),
-            ci=Relation.from_rows(index, ci_r),
-            cc=Relation.from_rows(index, cc_r),
-            ppo=Relation.from_rows(index, ppo_rows),
+            *(Relation.from_bits(index, bits) for bits in (ii, ic, ci, cc, ppo))
         )
-        return components
-
-    ii, ic, ci, cc = _fixpoint(ii0, ic0, ci0, cc0)
-    ppo = execution.restrict_rr(ii) | execution.restrict_rw(ic)
-    return PpoComponents(ii=ii, ic=ic, ci=ci, cc=cc, ppo=ppo)
+    return components
 
 
 def _arm_cc0(execution: Execution) -> Relation:

@@ -18,21 +18,19 @@ paper / cat notation  Relation method or operator
 ``WR(r)`` etc.        ``r.restrict(writes, reads)`` / helpers in Execution
 ====================  =======================================
 
-Two representations live behind the one public API:
-
-* **pairs mode** — a frozenset of ``(Event, Event)`` pairs, used for
-  ad-hoc relations over arbitrary events;
-* **kernel mode** — an :class:`~repro.core.bitrel.EventIndex` plus one
-  successor bitmask per source event (see :mod:`repro.core.bitrel`).
-  The enumeration engine interns each candidate family's event universe
-  once and every derived relation (po, rf, co, ppo, prop, hb, ...) stays
-  in the kernel, where union/intersection/sequence/closure/acyclicity
-  are word-parallel bitwise operations.
-
-Operators combine two kernel relations over the *same* index in the
-kernel; a pairs-mode operand whose events all belong to the index is
-re-interned on the fly; anything else falls back to pair sets.  The
-``pairs`` view of a kernel relation is materialized lazily.
+Every relation has one representation: an
+:class:`~repro.core.bitrel.EventIndex` and one ``n²``-bit int over it
+(bit ``i·n + j`` means ``(event_i, event_j)``, see
+:mod:`repro.core.bitrel`).  The enumeration engine interns each
+candidate family's event universe once, and every derived relation (po,
+rf, co, ppo, prop, hb, ...) stays on that index, where set algebra is
+one int operation and sequence, closure and acyclicity are a few per
+event.  A relation built from pairs (``Relation(pairs)``,
+:meth:`~Relation.identity`, :meth:`~Relation.from_order`,
+:meth:`~Relation.cartesian`) interns its own events; an operation on
+two relations over different indexes re-packs both onto one index
+covering them.  The ``pairs`` view is built on demand, for witnesses
+and printing.
 """
 
 from __future__ import annotations
@@ -45,15 +43,12 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
-    Set,
     Tuple,
     TYPE_CHECKING,
 )
 
 from repro.core import bitrel
 from repro.core.bitrel import EventIndex, iter_bits
-from repro.util import digraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.events import Event
@@ -64,117 +59,122 @@ Pair = Tuple["Event", "Event"]
 #: Sentinel distinguishing "not cached" from a cached ``None`` (find_cycle).
 _UNSET = object()
 
+#: The universe of the empty relation ``Relation()``.
+_NO_EVENTS = EventIndex(())
+
+
+def _make(index: EventIndex, bits: int) -> "Relation":
+    """The relation packed as *bits* over *index*."""
+    relation = object.__new__(Relation)
+    relation._index = index
+    relation._bits = bits
+    relation._pairs = None
+    relation._cache = None
+    return relation
+
 
 class Relation:
     """An immutable binary relation over events.
 
     Derived quantities that are expensive to recompute — the transitive
-    closure, acyclicity, a witness cycle — are memoized per instance.
-    The relation is frozen at construction, so the caches can never go
-    stale; repeated model checks over the same execution (the herd
-    simulator checks every axiom of every model against the same po/com
-    relations) reuse the work instead of re-walking the graph.
+    closure, a witness cycle, ``r*`` over an event set — are memoized
+    per instance, in a memo created on first use.  The relation is
+    frozen at construction, so the memo can never go stale; repeated
+    model checks over the same execution (the herd simulator checks
+    every axiom of every model against the same po/com relations) reuse
+    the work instead of re-walking the graph.
     """
 
-    __slots__ = ("_pairs", "_cache", "_index", "_rows")
+    __slots__ = ("_index", "_bits", "_pairs", "_cache")
 
     def __init__(self, pairs: Iterable[Pair] = ()):
-        self._pairs: Optional[FrozenSet[Pair]] = frozenset(pairs)
-        self._cache: dict = {}
-        self._index: Optional[EventIndex] = None
-        self._rows: Optional[Tuple[int, ...]] = None
+        pairs = frozenset(pairs)
+        index = EventIndex(e for pair in pairs for e in pair) if pairs else _NO_EVENTS
+        self._index = index
+        self._bits: int = index.bits_of_pairs(pairs)  # type: ignore[assignment]
+        self._pairs: Optional[FrozenSet[Pair]] = pairs
+        self._cache: Optional[dict] = None
 
     # -- constructors ------------------------------------------------------------
 
     def __getstate__(self) -> tuple:
-        # The memo cache (closures, witness cycles) is recomputable and
-        # can dwarf the relation itself: drop it when a relation crosses
-        # a process boundary (e.g. inside a BMC counterexample shipped
-        # back from a campaign worker).
-        return (self._pairs, self._index, self._rows)
+        # The pairs view and the memo (closures, witness cycles) are
+        # recomputable and can dwarf the relation itself: drop them when
+        # a relation crosses a process boundary (e.g. inside a BMC
+        # counterexample shipped back from a campaign worker).
+        return (self._index, self._bits)
 
     def __setstate__(self, state: tuple) -> None:
-        self._pairs, self._index, self._rows = state
-        self._cache = {}
+        self._index, self._bits = state
+        self._pairs = None
+        self._cache = None
 
     @classmethod
     def empty(cls) -> "Relation":
         return _EMPTY
 
-    @classmethod
-    def from_rows(cls, index: EventIndex, rows: Iterable[int]) -> "Relation":
-        """A kernel-mode relation over *index* with the given successor rows."""
-        self = cls.__new__(cls)
-        self._pairs = None
-        self._cache = {}
-        self._index = index
-        self._rows = rows if type(rows) is tuple else tuple(rows)
-        return self
+    from_bits = staticmethod(_make)
 
     @classmethod
     def identity(cls, events: Iterable["Event"]) -> "Relation":
-        return cls((e, e) for e in events)
+        index = EventIndex(events)
+        return _make(index, index.identity(index.all_mask))
 
     @classmethod
     def from_order(cls, ordered: Iterable["Event"]) -> "Relation":
         """Total order relation of a sequence: every earlier→later pair."""
         items = list(ordered)
-        return cls(
-            (items[i], items[j])
-            for i in range(len(items))
-            for j in range(i + 1, len(items))
-        )
+        index = EventIndex(items)
+        n = index.n
+        bits = later = 0
+        for event in reversed(items):
+            i = index.ids[event]
+            bits |= later << i * n
+            later |= 1 << i
+        return _make(index, bits)
 
     @classmethod
     def cartesian(cls, sources: Iterable["Event"], targets: Iterable["Event"]) -> "Relation":
-        targets = list(targets)
-        return cls((s, t) for s in sources for t in targets if s != t)
+        sources, targets = list(sources), list(targets)
+        index = EventIndex(sources + targets)
+        pairs = index.pair_mask(index.mask_of(sources), index.mask_of(targets))
+        return _make(index, pairs & ~index.diag)
 
     # -- basic protocol ----------------------------------------------------------
 
     @property
     def pairs(self) -> FrozenSet[Pair]:
         if self._pairs is None:
-            assert self._index is not None and self._rows is not None
-            self._pairs = frozenset(self._index.pairs_of_rows(self._rows))
+            self._pairs = frozenset(self._index.pairs_of(self._bits))
         return self._pairs
 
-    def _rows_in(self, index: EventIndex) -> Optional[Sequence[int]]:
-        """This relation's rows re-indexed in *index*, or None if foreign."""
+    def _bits_in(self, index: EventIndex) -> Optional[int]:
+        """This relation re-packed over *index*, or None if foreign."""
         if self._index is index:
-            return self._rows
-        return index.rows_of_pairs(self.pairs)
+            return self._bits
+        return index.repack(self._bits, self._index)
 
     def __iter__(self) -> Iterator[Pair]:
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        if self._pairs is None:
-            return sum(row.bit_count() for row in self._rows)  # type: ignore[union-attr]
-        return len(self._pairs)
+        return self._bits.bit_count()
 
     def __bool__(self) -> bool:
-        if self._pairs is None:
-            return any(self._rows)  # type: ignore[arg-type]
-        return bool(self._pairs)
+        return self._bits != 0
 
     def __contains__(self, pair: Pair) -> bool:
-        if self._pairs is None:
-            ids = self._index.ids  # type: ignore[union-attr]
-            src = ids.get(pair[0])
-            dst = ids.get(pair[1])
-            if src is None or dst is None:
-                return False
-            return bool(self._rows[src] >> dst & 1)  # type: ignore[index]
-        return pair in self._pairs
+        index = self._index
+        src = index.ids.get(pair[0])
+        dst = index.ids.get(pair[1])
+        if src is None or dst is None:
+            return False
+        return bool(self._bits >> src * index.n + dst & 1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Relation):
-            if (
-                self._index is not None
-                and self._index is other._index
-            ):
-                return self._rows == other._rows
+            if self._index is other._index or not self._bits or not other._bits:
+                return self._bits == other._bits
             return self.pairs == other.pairs
         return NotImplemented
 
@@ -184,40 +184,40 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({len(self)} pairs)"
 
+    def _memo(self) -> dict:
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = {}
+        return cache
+
     # -- set algebra -------------------------------------------------------------
 
     def __or__(self, other: "Relation") -> "Relation":
-        index = self._index if self._index is not None else other._index
-        if index is not None:
-            left = self._rows_in(index)
-            right = other._rows_in(index) if left is not None else None
-            if right is not None:
-                return Relation.from_rows(
-                    index, tuple(a | b for a, b in zip(left, right))
-                )
-        return Relation(self.pairs | other.pairs)
+        index = self._index
+        if other._index is not index:
+            # The interned empty relation meets every index: union with
+            # it is the other operand.
+            if not other._bits:
+                return self
+            if not self._bits:
+                return other
+            index, (left, right) = common_bits(self, other)
+            return _make(index, left | right)
+        return _make(index, self._bits | other._bits)
 
     def __and__(self, other: "Relation") -> "Relation":
-        index = self._index if self._index is not None else other._index
-        if index is not None:
-            left = self._rows_in(index)
-            right = other._rows_in(index) if left is not None else None
-            if right is not None:
-                return Relation.from_rows(
-                    index, tuple(a & b for a, b in zip(left, right))
-                )
-        return Relation(self.pairs & other.pairs)
+        index = self._index
+        if other._index is not index:
+            index, (left, right) = common_bits(self, other)
+            return _make(index, left & right)
+        return _make(index, self._bits & other._bits)
 
     def __sub__(self, other: "Relation") -> "Relation":
-        index = self._index if self._index is not None else other._index
-        if index is not None:
-            left = self._rows_in(index)
-            right = other._rows_in(index) if left is not None else None
-            if right is not None:
-                return Relation.from_rows(
-                    index, tuple(a & ~b for a, b in zip(left, right))
-                )
-        return Relation(self.pairs - other.pairs)
+        index = self._index
+        if other._index is not index:
+            index, (left, right) = common_bits(self, other)
+            return _make(index, left & ~right)
+        return _make(index, self._bits & ~other._bits)
 
     def union(self, *others: "Relation") -> "Relation":
         result = self
@@ -235,74 +235,52 @@ class Relation:
 
     def seq(self, other: "Relation") -> "Relation":
         """Relational sequence ``self; other``."""
-        index = self._index if self._index is not None else other._index
-        if index is not None:
-            left = self._rows_in(index)
-            if left is not None:
-                right = other._rows_in(index)
-                if right is not None:
-                    return Relation.from_rows(index, bitrel.rows_seq(left, right))
-        by_source: dict = {}
-        for src, dst in other.pairs:
-            by_source.setdefault(src, []).append(dst)
-        result: Set[Pair] = set()
-        for src, mid in self.pairs:
-            for dst in by_source.get(mid, ()):
-                result.add((src, dst))
-        return Relation(result)
+        index = self._index
+        if other._index is not index:
+            index, (left, right) = common_bits(self, other)
+        else:
+            left, right = self._bits, other._bits
+        return _make(index, bitrel.seq(left, right, index.n, index.col0))
 
     def __matmul__(self, other: "Relation") -> "Relation":
         return self.seq(other)
 
     def inverse(self) -> "Relation":
-        if self._index is not None:
-            return Relation.from_rows(self._index, bitrel.rows_inverse(self._rows))
-        return Relation((dst, src) for src, dst in self.pairs)
+        index = self._index
+        return _make(index, bitrel.transpose(self._bits, index.n))
 
     def transitive_closure(self) -> "Relation":
-        cached = self._cache.get("tc")
-        if cached is None:
-            if self._index is not None:
-                cached = Relation.from_rows(
-                    self._index, bitrel.rows_closure(self._rows)
-                )
-            else:
-                cached = Relation(digraph.transitive_closure(self._pairs))
-            self._cache["tc"] = cached
-        return cached
+        cache = self._memo()
+        closed = cache.get("tc")
+        if closed is None:
+            index = self._index
+            closed = cache["tc"] = _make(
+                index, bitrel.closure(self._bits, index.n, index.col0)
+            )
+        return closed
 
     def plus(self) -> "Relation":
         """Alias for :meth:`transitive_closure` (the paper's ``r+``)."""
         return self.transitive_closure()
 
     def reflexive_transitive_closure(self, events: Iterable["Event"] = ()) -> "Relation":
-        if self._index is not None:
-            index = self._index
-            extra = events if isinstance(events, frozenset) else frozenset(events)
-            mask = index.mask_of(extra)
-            key = ("rtc", mask)
-            cached = self._cache.get(key)
-            if cached is None:
-                closure = bitrel.rows_closure(self._rows)
-                nodes = mask
-                for i, row in enumerate(self._rows):  # type: ignore[arg-type]
-                    if row:
-                        nodes |= (1 << i) | row
-                cached = Relation.from_rows(
-                    index,
-                    (
-                        row | (1 << i) if nodes >> i & 1 else row
-                        for i, row in enumerate(closure)
-                    ),
-                )
-                self._cache[key] = cached
-            return cached
-        events = frozenset(events)  # materialize once: also the cache key
-        key = ("rtc", events)
-        cached = self._cache.get(key)
+        """``r*``: ``r+`` plus the identity over *events* and the
+        relation's own events."""
+        events = events if isinstance(events, frozenset) else frozenset(events)
+        index = self._index
+        mask = index.mask_of(events)
+        if mask.bit_count() < len(events):
+            return self._covering(events).reflexive_transitive_closure(events)
+        cache = self._memo()
+        key = ("rtc", mask)
+        cached = cache.get(key)
         if cached is None:
-            cached = Relation(digraph.reflexive_transitive_closure(self._pairs, events))
-            self._cache[key] = cached
+            n = index.n
+            cached = cache[key] = _make(
+                index,
+                self.transitive_closure()._bits
+                | index.identity(mask | bitrel.nodes(self._bits, n)),
+            )
         return cached
 
     def star(self, events: Iterable["Event"] = ()) -> "Relation":
@@ -311,18 +289,17 @@ class Relation:
 
     def optional(self, events: Iterable["Event"] = ()) -> "Relation":
         """Reflexive closure ``r?`` (identity over *events* plus r)."""
-        if self._index is not None:
-            mask = self._index.mask_of(
-                events if isinstance(events, frozenset) else frozenset(events)
-            )
-            return Relation.from_rows(
-                self._index,
-                (
-                    row | (1 << i) if mask >> i & 1 else row
-                    for i, row in enumerate(self._rows)  # type: ignore[arg-type]
-                ),
-            )
-        return self | Relation.identity(events)
+        events = events if isinstance(events, frozenset) else frozenset(events)
+        index = self._index
+        mask = index.mask_of(events)
+        if mask.bit_count() < len(events):
+            return self._covering(events).optional(events)
+        return _make(index, self._bits | index.identity(mask))
+
+    def _covering(self, events: FrozenSet["Event"]) -> "Relation":
+        """This relation re-packed over an index that also holds *events*."""
+        index = EventIndex(events.union(self._index.events))
+        return _make(index, index.repack(self._bits, self._index))  # type: ignore[arg-type]
 
     # -- restriction -------------------------------------------------------------
 
@@ -332,99 +309,78 @@ class Relation:
         targets: Optional[AbstractSet["Event"]] = None,
     ) -> "Relation":
         """Keep pairs whose source/target lie in the given event sets."""
-        if self._index is not None:
-            index = self._index
-            source_mask = index.all_mask if sources is None else index.mask_of(sources)
-            target_mask = index.all_mask if targets is None else index.mask_of(targets)
-            return Relation.from_rows(
-                index,
-                (
-                    (row & target_mask) if source_mask >> i & 1 else 0
-                    for i, row in enumerate(self._rows)  # type: ignore[arg-type]
-                ),
-            )
-        adjacency = self._adjacency()
-        result: List[Pair] = []
-        for src, dsts in adjacency.items():
-            if sources is not None and src not in sources:
-                continue
-            if targets is not None:
-                dsts = dsts & targets
-            result.extend((src, dst) for dst in dsts)
-        return Relation(result)
+        if not self._bits:
+            return self
+        index = self._index
+        source_mask = index.all_mask if sources is None else index.mask_of(sources)
+        target_mask = index.all_mask if targets is None else index.mask_of(targets)
+        return _make(index, self._bits & index.pair_mask(source_mask, target_mask))
 
     def filter(self, predicate: Callable[["Event", "Event"], bool]) -> "Relation":
-        return Relation((s, t) for s, t in self.pairs if predicate(s, t))
+        index = self._index
+        events = index.events
+        bits = 0
+        for p in iter_bits(self._bits):
+            i, j = divmod(p, index.n)
+            if predicate(events[i], events[j]):
+                bits |= 1 << p
+        return _make(index, bits)
 
     def internal(self) -> "Relation":
         """Pairs whose events belong to the same thread."""
-        if self._index is not None:
-            masks = self._index.internal_masks
-            return Relation.from_rows(
-                self._index,
-                (row & masks[i] for i, row in enumerate(self._rows)),  # type: ignore[arg-type]
-            )
-        return self.filter(lambda s, t: s.thread == t.thread)
+        if not self._bits:
+            return self
+        return _make(self._index, self._bits & self._index.internal_mask())
 
     def external(self) -> "Relation":
         """Pairs whose events belong to distinct threads."""
-        if self._index is not None:
-            masks = self._index.internal_masks
-            return Relation.from_rows(
-                self._index,
-                (row & ~masks[i] for i, row in enumerate(self._rows)),  # type: ignore[arg-type]
-            )
-        return self.filter(lambda s, t: s.thread != t.thread)
+        if not self._bits:
+            return self
+        return _make(self._index, self._bits & ~self._index.internal_mask())
 
     def same_location(self) -> "Relation":
-        if self._index is not None:
-            masks = self._index.same_location_masks
-            return Relation.from_rows(
-                self._index,
-                (row & masks[i] for i, row in enumerate(self._rows)),  # type: ignore[arg-type]
-            )
-        return self.filter(
-            lambda s, t: s.location is not None and s.location == t.location
-        )
+        if not self._bits:
+            return self
+        return _make(self._index, self._bits & self._index.same_location_mask())
 
     # -- predicates --------------------------------------------------------------
 
     def is_irreflexive(self) -> bool:
-        return self.first_reflexive() is None
+        return not self._bits & self._index.diag
 
     def first_reflexive(self) -> Optional["Event"]:
         """The smallest event related to itself, or None when irreflexive.
 
-        Reporting the smallest keeps witnesses independent of the hash
-        order of the pair set.
+        Reporting the smallest keeps witnesses independent of hash order.
         """
-        if self._index is not None:
-            for i, row in enumerate(self._rows):  # type: ignore[arg-type]
-                if row >> i & 1:
-                    return self._index.events[i]
+        index = self._index
+        loops = self._bits & index.diag
+        if not loops:
             return None
-        return min((src for src, dst in self._pairs if src == dst), default=None)
+        return index.events[((loops & -loops).bit_length() - 1) // (index.n + 1)]
 
     def is_acyclic(self) -> bool:
-        if self._index is not None and "cycle" not in self._cache:
-            closure = self.transitive_closure()
-            return not bitrel.rows_has_cycle(closure._rows)  # type: ignore[arg-type]
-        return self.find_cycle() is None
+        return not self.transitive_closure()._bits & self._index.diag
 
     def find_cycle(self) -> Optional[List["Event"]]:
-        cached = self._cache.get("cycle", _UNSET)
+        """One cycle ``[e0, e1, ..., e0]``, or None when acyclic.
+
+        Deterministic: it starts from the smallest event lying on a
+        cycle and follows a BFS-shortest path back to it, ties broken
+        by ascending event.
+        """
+        cache = self._memo()
+        cached = cache.get("cycle", _UNSET)
         if cached is _UNSET:
-            if self._index is not None:
-                closure = self.transitive_closure()
-                ids = bitrel.rows_find_cycle(self._rows, closure._rows)
-                cached = (
-                    None
-                    if ids is None
-                    else [self._index.events[i] for i in ids]
-                )
-            else:
-                cached = digraph.find_cycle(self._pairs)
-            self._cache["cycle"] = cached
+            index = self._index
+            loops = self.transitive_closure()._bits & index.diag
+            cached = None
+            if loops:
+                n = index.n
+                start = ((loops & -loops).bit_length() - 1) // (n + 1)
+                events = index.events
+                cached = [events[i] for i in bitrel.find_cycle(self._bits, n, start)]
+            cache["cycle"] = cached
         return list(cached) if cached is not None else None
 
     def is_transitive(self) -> bool:
@@ -444,73 +400,66 @@ class Relation:
 
     # -- projections -------------------------------------------------------------
 
-    def _adjacency(self) -> dict:
-        """source -> frozenset of targets (pairs mode; memoized)."""
-        adjacency = self._cache.get("adj")
-        if adjacency is None:
-            grouped: dict = {}
-            for src, dst in self.pairs:
-                grouped.setdefault(src, []).append(dst)
-            adjacency = {src: frozenset(dsts) for src, dsts in grouped.items()}
-            self._cache["adj"] = adjacency
-        return adjacency
-
-    def _reverse_adjacency(self) -> dict:
-        """target -> frozenset of sources (pairs mode; memoized)."""
-        adjacency = self._cache.get("radj")
-        if adjacency is None:
-            grouped: dict = {}
-            for src, dst in self.pairs:
-                grouped.setdefault(dst, []).append(src)
-            adjacency = {dst: frozenset(srcs) for dst, srcs in grouped.items()}
-            self._cache["radj"] = adjacency
-        return adjacency
-
     def domain(self) -> FrozenSet["Event"]:
-        if self._index is not None:
-            mask = 0
-            for i, row in enumerate(self._rows):  # type: ignore[arg-type]
-                if row:
-                    mask |= 1 << i
-            return frozenset(self._index.events_of(mask))
-        return frozenset(self._adjacency())
+        index = self._index
+        mask = 0
+        for i, row in enumerate(bitrel.rows(self._bits, index.n)):
+            if row:
+                mask |= 1 << i
+        return frozenset(index.events_of(mask))
 
     def range(self) -> FrozenSet["Event"]:
-        if self._index is not None:
-            mask = 0
-            for row in self._rows:  # type: ignore[union-attr]
-                mask |= row
-            return frozenset(self._index.events_of(mask))
-        return frozenset(self._reverse_adjacency())
+        mask = 0
+        for row in bitrel.rows(self._bits, self._index.n):
+            mask |= row
+        return frozenset(self._index.events_of(mask))
 
     def events(self) -> FrozenSet["Event"]:
         """Union of domain and range (the paper's ``udr(r)``)."""
-        return self.domain() | self.range()
+        index = self._index
+        return frozenset(index.events_of(bitrel.nodes(self._bits, index.n)))
 
     def successors(self, event: "Event") -> FrozenSet["Event"]:
-        if self._index is not None:
-            i = self._index.ids.get(event)
-            if i is None:
-                return frozenset()
-            return frozenset(self._index.events_of(self._rows[i]))  # type: ignore[index]
-        return self._adjacency().get(event, frozenset())
+        index = self._index
+        i = index.ids.get(event)
+        if i is None:
+            return frozenset()
+        return frozenset(index.events_of((self._bits >> i * index.n) & index.all_mask))
 
     def predecessors(self, event: "Event") -> FrozenSet["Event"]:
-        if self._index is not None:
-            i = self._index.ids.get(event)
-            if i is None:
-                return frozenset()
-            bit = 1 << i
-            mask = 0
-            for j, row in enumerate(self._rows):  # type: ignore[arg-type]
-                if row & bit:
-                    mask |= 1 << j
-            return frozenset(self._index.events_of(mask))
-        return self._reverse_adjacency().get(event, frozenset())
+        index = self._index
+        j = index.ids.get(event)
+        if j is None:
+            return frozenset()
+        column = (self._bits >> j) & index.col0
+        return frozenset(index.events[p // index.n] for p in iter_bits(column))
 
     def to_sorted_list(self) -> List[Pair]:
         """Deterministic listing of the pairs (for display and tests)."""
         return sorted(self.pairs, key=lambda p: (p[0], p[1]))
+
+
+def common_bits(*relations: Relation) -> Tuple[EventIndex, List[int]]:
+    """One index covering every relation's pairs, and each one's bits on it.
+
+    The engines keep every relation on one index.  Otherwise the index
+    of a non-empty operand hosts the others when it holds their events,
+    and relations built by hand over different events meet on a merged
+    index.
+    """
+    index = relations[0]._index
+    if all(r._index is index for r in relations):
+        return index, [r._bits for r in relations]
+    live = [r for r in relations if r._bits] or [
+        max(relations, key=lambda r: r._index.n)
+    ]
+    for host in live:
+        index = host._index
+        packed = [r._bits_in(index) for r in relations]
+        if None not in packed:
+            return index, packed  # type: ignore[return-value]
+    index = EventIndex(event for r in live for event in r._index.events)
+    return index, [r._bits_in(index) for r in relations]  # type: ignore[misc]
 
 
 _EMPTY = Relation()

@@ -20,9 +20,9 @@ by brute-force cross product.  The production engine lives in
 :mod:`repro.herd.optimal`, which shares :class:`CombinationContext` (the
 per-combination event universe interned into a
 :class:`~repro.core.bitrel.EventIndex`, and the po/dependency/fence
-relations built once in the bitmask kernel and shared across all rf×co
-children) but constructs only the SC-PER-LOCATION-consistent rf/co
-assignments instead of generating and rejecting.  The differential
+relations packed once and shared across all rf×co children) but
+constructs only the SC-PER-LOCATION-consistent rf/co assignments
+instead of generating and rejecting.  The differential
 suite (``tests/test_differential.py``) holds the two engines to
 identical candidate sets and verdicts.
 """
@@ -118,8 +118,8 @@ class CombinationContext:
     """Everything one choice of per-thread paths shares across rf×co children.
 
     The event universe is interned once into an :class:`EventIndex`; the
-    program order, dependency and fence relations are built once in the
-    bitmask kernel and reused by every candidate.  Every execution built
+    program order, dependency and fence relations are packed over it
+    once and reused by every candidate.  Every execution built
     here shares one :attr:`memo` (see :meth:`Execution.shared
     <repro.core.execution.Execution.shared>`), so model checks compute
     what depends on those fixed relations alone once per combination.
@@ -195,24 +195,28 @@ class CombinationContext:
         return self.rf_count * self.co_count
 
     def rf_relation(self, assignment: Sequence[Tuple[Event, Event]]) -> Relation:
-        """Kernel rf relation from ``(write, read)`` pairs."""
-        rows = [0] * self.index.n
-        ids = self.index.ids
+        """Packed rf relation from ``(write, read)`` pairs."""
+        index = self.index
+        ids = index.ids
+        n = index.n
+        bits = 0
         for write, read in assignment:
-            rows[ids[write]] |= 1 << ids[read]
-        return Relation.from_rows(self.index, rows)
+            bits |= 1 << ids[write] * n + ids[read]
+        return Relation.from_bits(index, bits)
 
     def co_relation(self, orders: Sequence[Sequence[Event]]) -> Relation:
-        """Kernel co relation from one total order per location."""
-        rows = [0] * self.index.n
-        ids = self.index.ids
+        """Packed co relation from one total order per location."""
+        index = self.index
+        ids = index.ids
+        n = index.n
+        bits = 0
         for order in orders:
             later = 0
             for event in reversed(order):
                 i = ids[event]
-                rows[i] |= later
+                bits |= later << i * n
                 later |= 1 << i
-        return Relation.from_rows(self.index, rows)
+        return Relation.from_bits(index, bits)
 
     def execution(self, rf: Relation, co: Relation) -> Execution:
         return Execution(
@@ -269,19 +273,20 @@ def combination_context(
     # each thread's memory events in program order — i.e. (thread, poi).
     index = EventIndex(all_events, presorted=True)
 
-    po_rows = [0] * index.n
     ids = index.ids
+    n = index.n
+    po_bits = 0
     for path in combination:
         later = 0
         for event in reversed(path.memory_events):
             i = ids[event]
-            po_rows[i] |= later
+            po_bits |= later << i * n
             later |= 1 << i
 
     def interned(pairs: Sequence[Tuple[Event, Event]]) -> Relation:
-        rows = index.rows_of_pairs(pairs)
-        assert rows is not None
-        return Relation.from_rows(index, rows)
+        bits = index.bits_of_pairs(pairs)
+        assert bits is not None
+        return Relation.from_bits(index, bits)
 
     writes = tuple(e for e in all_events if e.is_write())
     reads = tuple(e for e in all_events if e.is_read())
@@ -306,7 +311,7 @@ def combination_context(
         index=index,
         all_events=all_events,
         events_frozen=frozenset(all_events),
-        po=Relation.from_rows(index, po_rows),
+        po=Relation.from_bits(index, po_bits),
         addr=interned(addr_pairs),
         data=interned(data_pairs),
         ctrl=interned(ctrl_pairs),

@@ -62,7 +62,7 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry as _telemetry
-from repro.core.bitrel import iter_bits, rows_inverse
+from repro.core.bitrel import iter_bits, rows, transpose
 from repro.core.events import Event
 from repro.core.execution import Execution
 from repro.herd.enumerate import Candidate, CombinationContext, combination_contexts
@@ -119,19 +119,16 @@ def outcome_satisfies(condition, outcome: Outcome) -> bool:
     return True
 
 
-def sc_per_location_rows(context: CombinationContext, variant: str) -> List[int]:
-    """The po-loc successor rows the given SC PER LOCATION variant
-    constrains with (``llh`` lets read-read pairs leave po-loc)."""
+def sc_per_location_order(context: CombinationContext, variant: str) -> int:
+    """The packed po-loc the given SC PER LOCATION variant constrains
+    with (``llh`` lets read-read pairs leave po-loc)."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown SC PER LOCATION variant: {variant!r}")
-    po_loc = context.po.same_location()
+    index = context.index
+    po_loc = context.po.same_location()._bits
     if variant == "llh":
-        reads_mask = context.index.reads_mask
-        return [
-            row & ~reads_mask if reads_mask >> i & 1 else row
-            for i, row in enumerate(po_loc._rows)
-        ]
-    return list(po_loc._rows)
+        po_loc &= ~index.pair_mask(index.reads_mask, index.reads_mask)
+    return po_loc
 
 
 class LocationWalk:
@@ -433,7 +430,8 @@ class OptimalPlan:
     def _walks(self) -> List[LocationWalk]:
         context = self.context
         ids = context.index.ids
-        preds_global = rows_inverse(sc_per_location_rows(context, self.variant))
+        n = context.index.n
+        preds_global = rows(transpose(sc_per_location_order(context, self.variant), n), n)
         # Per location, the positions of its reads in event order.
         read_positions: Dict[str, List[int]] = {
             location: [] for location in context.locations

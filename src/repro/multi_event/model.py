@@ -68,36 +68,22 @@ def lift_relation(
     a cycle exists in the lifted relation iff one exists in the original.
 
     When an :class:`EventIndex` over the copies is supplied, the lifted
-    relation is built directly in the bitmask kernel — the model still
-    pays for the enlarged event set (the point of the Tab. IX cost
-    comparison), but its relational algebra runs on the same kernel as
-    the single-event model.
+    relation is packed over it — the model still pays for the enlarged
+    event set (the point of the Tab. IX cost comparison), but its
+    relational algebra runs on the same kernel as the single-event model.
     """
-    if index is not None:
-        rows = [0] * index.n
-        ids = index.ids
-        for source, target in relation:
-            source_copies = copies.get(source, ())
-            target_copies = copies.get(target, ())
-            single = len(source_copies) == 1 or len(target_copies) == 1
-            for source_copy in source_copies:  # pragma: no branch
-                row = 0
-                for target_copy in target_copies:
-                    if single or source_copy.thread == target_copy.thread:
-                        row |= 1 << ids[target_copy]
-                rows[ids[source_copy]] |= row
-        return Relation.from_rows(index, rows)
     pairs = []
     for source, target in relation:
-        for source_copy in copies.get(source, ()):  # pragma: no branch
-            for target_copy in copies.get(target, ()):
-                if (
-                    source_copy.thread == target_copy.thread
-                    or len(copies.get(source, ())) == 1
-                    or len(copies.get(target, ())) == 1
-                ):
+        source_copies = copies.get(source, ())
+        target_copies = copies.get(target, ())
+        single = len(source_copies) == 1 or len(target_copies) == 1
+        for source_copy in source_copies:  # pragma: no branch
+            for target_copy in target_copies:
+                if single or source_copy.thread == target_copy.thread:
                     pairs.append((source_copy, target_copy))
-    return Relation(pairs)
+    if index is None:
+        return Relation(pairs)
+    return Relation.from_bits(index, index.bits_of_pairs(pairs))  # type: ignore[arg-type]
 
 
 class MultiEventModel:
@@ -105,11 +91,11 @@ class MultiEventModel:
 
     def __init__(self, architecture: Optional[Architecture] = None):
         self.architecture = architecture if architecture is not None else power_architecture()
-        #: events-universe -> (copies, copy index).  Candidates of one
-        #: family share their event set, so the per-thread copies and
-        #: their interning table are built once per family, not per
-        #: candidate.  (Keyed by the frozen event set itself; bounded by
-        #: the number of distinct families a model instance sees.)
+        #: (po's index, event set) -> (copies, copy index, lift table).
+        #: Candidates of one family share both, so the per-thread copies
+        #: and their interning table are built once per family, not per
+        #: candidate (bounded by the number of distinct families a model
+        #: instance sees).
         self._copy_cache: Dict[object, Tuple[dict, EventIndex, Optional[tuple]]] = {}
 
     @property
@@ -117,12 +103,12 @@ class MultiEventModel:
         return f"multi-event({self.architecture.name})"
 
     def _copies_of(self, execution: Execution) -> Tuple[dict, EventIndex, Optional[tuple]]:
-        # Key by the interning table object when there is one: candidates
-        # of one combination share it, and the id-level lift tables only
+        # Key by po's interning table and the event set: candidates of
+        # one combination share both, and the id-level lift tables only
         # apply to relations over that exact index.  (EventIndex has
-        # identity semantics, and being the key keeps it alive.)
+        # identity semantics, and being in the key keeps it alive.)
         origin = execution.po._index
-        key: object = origin if origin is not None else execution.events
+        key = (origin, execution.events)
         cached = self._copy_cache.get(key)
         if cached is None:
             copies = propagation_copies(execution)
@@ -136,14 +122,12 @@ class MultiEventModel:
                 # ascends by thread, so this flattening is presorted.
                 presorted=True,
             )
-            # Id-level lift tables: when the execution's relations live in
-            # the bitmask kernel, lifting works on integer ids alone —
-            # per original id, whether it is single-copy, the mask of all
-            # its copies, and its copy id per thread layer.
+            # Id-level lift tables: when po's index covers the execution,
+            # lifting works on integer ids alone — per original id,
+            # whether it is single-copy, the mask of all its copies, and
+            # its copy id per thread layer.
             lift_table = None
-            if origin is not None and all(
-                event in origin.ids for event in copies
-            ):
+            if all(event in origin.ids for event in copies):
                 single = [False] * origin.n
                 all_copies = [0] * origin.n
                 by_thread: List[Dict[int, int]] = [dict() for _ in range(origin.n)]
@@ -171,25 +155,25 @@ class MultiEventModel:
         """Lift through the id tables when possible, else via the events."""
         if lift_table is not None:
             origin, single, all_copies, by_thread = lift_table
-            rows = relation._rows_in(origin)
-            if rows is not None:
-                lifted = [0] * copy_index.n
-                for i, row in enumerate(rows):
-                    if not row:
-                        continue
+            bits = relation._bits_in(origin)
+            if bits is not None:
+                n = origin.n
+                width = copy_index.n
+                lifted = 0
+                for p in iter_bits(bits):
+                    i, j = divmod(p, n)
                     source_layers = by_thread[i]
-                    for j in iter_bits(row):
-                        if single[i] or single[j]:
-                            mask = all_copies[j]
-                            for copy_id in source_layers.values():
-                                lifted[copy_id] |= mask
-                        else:
-                            target_layers = by_thread[j]
-                            for thread, copy_id in source_layers.items():
-                                target = target_layers.get(thread)
-                                if target is not None:
-                                    lifted[copy_id] |= 1 << target
-                return Relation.from_rows(copy_index, lifted)
+                    if single[i] or single[j]:
+                        mask = all_copies[j]
+                        for copy_id in source_layers.values():
+                            lifted |= mask << copy_id * width
+                    else:
+                        target_layers = by_thread[j]
+                        for thread, copy_id in source_layers.items():
+                            target = target_layers.get(thread)
+                            if target is not None:
+                                lifted |= 1 << copy_id * width + target
+                return Relation.from_bits(copy_index, lifted)
         return lift_relation(relation, copies, copy_index)
 
     def check(
@@ -244,8 +228,8 @@ class MultiEventModel:
             frozenset(copy_index.events)
         )
         composed = lifted_fre.seq(lifted_prop).seq(lifted_hb_star)
-        if not composed.is_irreflexive():
-            source = next(s for s, t in composed if s == t)
+        source = composed.first_reflexive()
+        if source is not None:
             violations.append(AxiomViolation(axioms.AXIOM_OBSERVATION, (source.event,)))
             if stop_at_first:
                 return CheckResult(False, tuple(violations))

@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.architectures import power_architecture
-from repro.core.bitrel import EventIndex, iter_bits, rows_seq
+from repro.core.bitrel import EventIndex, iter_bits, rows
 from repro.core.execution import Execution
 from repro.core.model import Architecture
 from repro.core.relation import Relation
@@ -70,40 +70,27 @@ class IntermediateMachine:
     def accepts(self, execution: Execution) -> bool:
         """Is there an accepting interleaving of the execution's labels?"""
         index = execution.po._index
-        if index is None or any(
-            event not in index.ids for event in execution.events
-        ):
+        if any(event not in index.ids for event in execution.events):
             index = EventIndex(execution.events)
+        n = index.n
 
         def rows_of(relation: Relation) -> List[int]:
-            rows = relation._rows_in(index)
-            assert rows is not None, "execution relation escapes its event universe"
-            return list(rows)
+            bits = relation._bits_in(index)
+            assert bits is not None, "execution relation escapes its event universe"
+            return rows(bits, n)
 
         relations = self.architecture.relations(execution)
-        ppo = relations["ppo"]
-        fences = rows_of(relations["fences"])
-        prop = rows_of(relations["prop"])
         hb_star = relations["hb"].reflexive_transitive_closure(
             execution.memory_events
         )
-        prop_hb_star = rows_seq(prop, rows_of(hb_star))
-        ppo_fences = [a | b for a, b in zip(rows_of(ppo), fences)]
+        fences = rows_of(relations["fences"])
+        prop = rows_of(relations["prop"])
+        ppo_fences = rows_of(relations["ppo"] | relations["fences"])
         po_loc = rows_of(execution.po_loc)
         co = rows_of(execution.co)
-        n = index.n
-
         # Inverse rows needed by the CPW and SR premises.
-        co_pred = [0] * n
-        for i, row in enumerate(co):
-            bit = 1 << i
-            for j in iter_bits(row):
-                co_pred[j] |= bit
-        phs_pred = [0] * n
-        for i, row in enumerate(prop_hb_star):
-            bit = 1 << i
-            for j in iter_bits(row):
-                phs_pred[j] |= bit
+        co_pred = rows_of(execution.co.inverse())
+        phs_pred = rows_of(relations["prop"].seq(hb_star).inverse())
 
         writes_mask = index.writes_mask
         reads_mask = index.reads_mask

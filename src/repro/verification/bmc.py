@@ -22,7 +22,9 @@ final condition's outcome reachable?), which is how the paper produced
 the per-litmus-test timings of Tab. X/XI.
 
 The axiomatic encodings (``"axiomatic"``, ``"multi-event"``) enumerate
-through the planned engine (:mod:`repro.herd.optimal`): only
+through the planned engine (:mod:`repro.herd.optimal`) — except for a
+model without a known SC PER LOCATION variant (a cat model), whose
+every naive candidate is decided by its full check: only
 SC-PER-LOCATION-consistent assignments are ever constructed, candidates
 whose outcome cannot witness the query are never decided, and the search
 stops at the first counterexample — the solver-side pruning that makes
@@ -42,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry as _telemetry
-from repro.core.architectures import get_architecture
 from repro.core.model import Architecture, Model
 from repro.herd.enumerate import (
     Candidate,
@@ -50,7 +51,8 @@ from repro.herd.enumerate import (
     candidates_of_combination,
     combination_context,
 )
-from repro.herd.optimal import OptimalPlan, plans
+from repro.herd.optimal import _VARIANTS, OptimalPlan, plans
+from repro.herd.simulator import ModelLike, resolve_model
 from repro.litmus.ast import LitmusTest
 from repro.multi_event import MultiEventModel
 from repro.operational import IntermediateMachine
@@ -101,56 +103,61 @@ class VerificationResult(JsonReportMixin):
 
 
 class BoundedModelChecker:
-    """A reusable checker bound to one memory model and one backend."""
+    """A reusable checker bound to one memory model and one backend.
+
+    The model is anything :func:`~repro.herd.simulator.resolve_model`
+    takes.  The axiomatic backend prunes through the planned engine when
+    the model has a known SC PER LOCATION variant; any other model (a
+    cat model) decides every candidate of the naive enumeration with its
+    full check.  The multi-event and operational backends rebuild the
+    model from its :class:`~repro.core.model.Architecture`.
+    """
 
     def __init__(
         self,
-        model: Union[str, Architecture, Model],
+        model: ModelLike,
         backend: str = "axiomatic",
     ):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
         self.backend = backend
-        if isinstance(model, str):
-            architecture: Optional[Architecture] = get_architecture(model)
-        elif isinstance(model, Architecture):
-            architecture = model
-        elif isinstance(model, Model):
-            architecture = model.architecture
-        else:
-            raise TypeError(f"cannot interpret {model!r} as a model")
-        self.architecture = architecture
+        self.model = resolve_model(model)
+        architecture = getattr(self.model, "architecture", None)
+        variant = getattr(architecture, "sc_per_location_variant", None)
         if backend == "axiomatic":
-            self._decider = Model(architecture)
-            # The planned engine only emits uniproc-consistent candidates
-            # (for this architecture's variant), so the axiom check skips
-            # SC PER LOCATION.
-            self._prune_variant = (
-                architecture.sc_per_location_variant
-                if architecture.sc_per_location_variant in ("standard", "llh")
-                else "standard"
-            )
-            self._allows = lambda execution: self._decider.check(
-                execution, stop_at_first=True, assume_sc_per_location=True
+            planned = isinstance(self.model, Model) and variant in _VARIANTS
+            #: The SC PER LOCATION variant the planned engine prunes with,
+            #: or None when every candidate of the naive enumeration is
+            #: decided.  Planned candidates are uniproc-consistent by
+            #: construction, so their check skips that axiom.
+            self._prune_variant: Optional[str] = variant if planned else None
+            options = {"assume_sc_per_location": True} if planned else {}
+            self._allows = lambda execution: self.model.check(
+                execution, stop_at_first=True, **options
             ).allowed
-        elif backend == "multi-event":
-            self._decider = MultiEventModel(architecture)
+            return
+        if not isinstance(architecture, Architecture):
+            raise ValueError(
+                f"the {backend} backend needs a model with an Architecture; "
+                f"{self.model!r} has none"
+            )
+        if backend == "multi-event":
+            decider = MultiEventModel(architecture)
             # The lifted SC PER LOCATION check is the standard variant,
             # so prune with it and skip the (then provably passing) check.
             self._prune_variant = "standard"
-            self._allows = lambda execution: self._decider.check(
+            self._allows = lambda execution: decider.check(
                 execution, stop_at_first=True, assume_sc_per_location=True
             ).allowed
         else:
-            self._decider = IntermediateMachine(architecture)
-            # The machine's coWW/coWR/coRW/coRR premises block exactly the
-            # standard uniproc violations (Thm. 7.1).
-            self._prune_variant = "standard"
-            self._allows = self._decider.accepts
+            # Full instrumentation-style exploration: the tool this
+            # backend stands in for has no axiomatic query planning.
+            self._prune_variant = None
+            self._allows = IntermediateMachine(architecture).accepts
 
     @property
     def model_name(self) -> str:
-        return self.architecture.name
+        return self.model.name
 
     # -- programs -------------------------------------------------------------------
 
@@ -173,8 +180,8 @@ class BoundedModelChecker:
                 for outcome in path.assertions
                 if not outcome.holds
             ]
-            if self.backend == "operational":
-                # Full instrumentation-style exploration: decide everything.
+            if self._prune_variant is None:
+                # Decide every candidate of the naive enumeration.
                 for candidate in candidates_of_combination(
                     [path.execution for path in combination],
                     program.shared_variables(),
@@ -233,8 +240,8 @@ class BoundedModelChecker:
         candidates_explored = 0
         allowed = 0
         counterexample: Optional[Candidate] = None
-        if self.backend == "operational":
-            # Full instrumentation-style exploration: decide everything.
+        if self._prune_variant is None:
+            # Decide every candidate of the naive enumeration.
             for candidate in candidate_executions(test):
                 candidates_explored += 1
                 if not self._allows(candidate.execution):
@@ -311,7 +318,7 @@ class BoundedModelChecker:
 
 def verify_program(
     program: Program,
-    model: Union[str, Architecture, Model] = "power",
+    model: ModelLike = "power",
     backend: str = "axiomatic",
 ) -> VerificationResult:
     """Convenience wrapper: verify a program under a model with a backend."""
@@ -320,7 +327,7 @@ def verify_program(
 
 def verify_litmus(
     test: LitmusTest,
-    model: Union[str, Architecture, Model] = "power",
+    model: ModelLike = "power",
     backend: str = "axiomatic",
 ) -> VerificationResult:
     """Convenience wrapper: check reachability of a litmus test's final state."""
@@ -329,7 +336,7 @@ def verify_litmus(
 
 def verify_batch(
     items: Sequence[Union[Program, LitmusTest]],
-    model: Union[str, Architecture, Model] = "power",
+    model: ModelLike = "power",
     backend: str = "axiomatic",
     processes=None,
     chunk_size: int = 4,

@@ -116,7 +116,7 @@ pair_lists = st.lists(
 
 
 @given(pairs=pair_lists)
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_property_sequence_with_identity_is_noop(pairs):
     r = _relation(pairs)
     identity = Relation.identity(EVENTS)
@@ -125,14 +125,14 @@ def test_property_sequence_with_identity_is_noop(pairs):
 
 
 @given(pairs=pair_lists)
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_property_double_inverse_is_identity(pairs):
     r = _relation(pairs)
     assert r.inverse().inverse() == r
 
 
 @given(left=pair_lists, right=pair_lists)
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_property_union_commutative_and_contains_operands(left, right):
     r1, r2 = _relation(left), _relation(right)
     union = r1 | r2
@@ -141,7 +141,7 @@ def test_property_union_commutative_and_contains_operands(left, right):
 
 
 @given(pairs=pair_lists)
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_property_plus_is_transitive_and_contains_relation(pairs):
     r = _relation(pairs)
     plus = r.plus()
@@ -150,7 +150,7 @@ def test_property_plus_is_transitive_and_contains_relation(pairs):
 
 
 @given(left=pair_lists, right=pair_lists)
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_property_inverse_distributes_over_sequence(left, right):
     r1, r2 = _relation(left), _relation(right)
     assert (r1 @ r2).inverse() == r2.inverse() @ r1.inverse()

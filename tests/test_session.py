@@ -9,6 +9,8 @@ over any input must equal what the legacy module-level call produces.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro import Session, default_session
@@ -309,6 +311,12 @@ def test_unpicklable_model_runs_in_process_with_one_warning(family):
         warnings.simplefilter("always")
         with Session(model=custom, processes=2) as session:
             swept = session.sweep(family)
+            # No payload pickled, so no worker was ever started.
+            assert not [
+                child
+                for child in multiprocessing.active_children()
+                if child.name == "campaign-supervised-worker"
+            ]
     assert [w.category for w in caught] == [CampaignPicklingWarning]
     assert swept == sweep_family(family, custom)
     assert swept.verdicts == sweep_family(family, "sc").verdicts

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cat import load_builtin_model
 from repro.litmus.registry import get_test
 from repro.verification import (
     AssertStmt,
@@ -20,6 +21,7 @@ from repro.verification import (
     apache_example,
     postgresql_example,
     rcu_example,
+    verify_batch,
     verify_litmus,
     verify_program,
 )
@@ -164,6 +166,33 @@ def test_checker_rejects_unknown_backend_and_model():
         BoundedModelChecker("power", backend="symbolic")
     with pytest.raises(TypeError):
         BoundedModelChecker(3.14)
+
+
+@pytest.mark.parametrize("processes", [None, 2])
+def test_verify_batch_takes_cat_models(processes):
+    """A cat model decides every naive candidate; its answers are native power's."""
+    items = [
+        postgresql_example(),
+        postgresql_example(False),
+        dekker_example(True),
+        dekker_example(False),
+        get_test("mp"),
+        get_test("mp+lwsync+addr"),
+        get_test("sb+syncs"),
+        get_test("iriw+lwsyncs"),
+    ]
+    native = verify_batch(items, "power", processes=processes, chunk_size=2)
+    cat = verify_batch(items, load_builtin_model("power"), processes=processes, chunk_size=2)
+    assert [(r.safe, r.violated_assertion) for r in cat] == [
+        (r.safe, r.violated_assertion) for r in native
+    ]
+    assert {r.model_name for r in cat} == {"power"}
+
+
+@pytest.mark.parametrize("backend", ["multi-event", "operational"])
+def test_architecture_backends_reject_cat_models_by_name(backend):
+    with pytest.raises(ValueError, match=backend):
+        BoundedModelChecker(load_builtin_model("power"), backend)
 
 
 def test_verification_result_describe():
