@@ -7,9 +7,10 @@ The campaign drivers — :func:`repro.fences.campaign.repair_family`,
 :func:`repro.verification.bmc.verify_batch` — all fan homogeneous
 batches of independent simulate/verdict jobs over this one runtime:
 
-* :mod:`repro.campaign.runner` — chunked, order-preserving work sharding
-  over a process pool, with a serial fallback whose results are
-  byte-identical by construction;
+* :mod:`repro.campaign.runner` — chunked, order-preserving work sharding:
+  each driver makes one batch call, and the runner decides whether a
+  chunk runs in a worker process or in-process, with byte-identical
+  results by construction;
 * :mod:`repro.campaign.supervisor` — the fault-tolerant execution layer:
   per-chunk deadlines, bounded retry with exponential backoff, worker
   death detection with automatic respawn (self-healing pools), and

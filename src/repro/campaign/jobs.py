@@ -16,17 +16,18 @@ A worker's only warm state is :func:`process_context_cache`, one
 :class:`ContextCache` per process: every verdict a worker runs against
 a test it has seen before skips the front half of the pipeline and
 reuses the planned engine's per-location solves.  A chunk that runs in
-the caller's process instead (a serial or one-chunk batch, a payload
-that does not pickle, a serial retry) uses the cache its driver hands
-to :func:`caller_context_cache`.
+the caller's process instead (a one-worker or one-chunk batch, a
+payload that does not pickle, a serial retry) uses the cache its driver
+hands to :func:`caller_context_cache`.
 
-Every batch of verdicts — a diy family sweep, a model comparison, a
-verdict-service batch — is one kind of job: a :class:`VerdictJob`
-carrying the test and the models to judge it under, run by
-:func:`verdict_chunk`.  :func:`repro.compare.engine.paired_verdicts`
-is the one driver that shards those jobs or runs them serially; only
-the service hands them to the runner itself, so that even a one-test
-batch stays supervised.
+Every batch driver builds its jobs and hands them to one
+:func:`~repro.campaign.runner.run_sharded` call, whatever its worker
+count; the runner decides where each chunk runs.  Every batch of
+verdicts — a diy family sweep, a model comparison, a verdict-service
+batch — is one kind of job: a :class:`VerdictJob` carrying the test and
+the models to judge it under, run by :func:`verdict_chunk` and built
+by :func:`repro.compare.engine.paired_verdicts`, the one verdict
+driver.
 
 The chunk workers are module-level functions (multiprocessing pickles
 them by reference) with lazy driver imports, keeping ``repro.campaign``
@@ -77,10 +78,12 @@ def process_context_cache() -> ContextCache:
 @contextmanager
 def caller_context_cache(cache: Optional[ContextCache]) -> Iterator[None]:
     """Chunks that this thread runs in-process within the block use
-    *cache* (a fresh one for ``None``), so their contexts stay under the
-    caller's bounds and stats and leave with the batch.  Workers serve
-    in an empty context, so a forked one never inherits it."""
-    token = _CALLER_CACHE.set(ContextCache() if cache is None else cache)
+    *cache*, so their contexts stay under the caller's bounds and stats.
+    For ``None`` they share a fresh one-entry cache: a job's context
+    lives while the job runs, the thread paths for the whole batch, and
+    a caller that keeps no cache keeps no contexts.  Workers serve in an
+    empty context, so a forked one never inherits it."""
+    token = _CALLER_CACHE.set(ContextCache(capacity=1) if cache is None else cache)
     try:
         yield
     finally:
@@ -110,14 +113,16 @@ class VerdictJob:
 
 @dataclass(frozen=True)
 class SimulateJob:
-    """One full simulation summary (no candidate objects — those do not
-    cross process boundaries; ``Session.simulate`` keeps
-    ``keep_candidates`` queries serial)."""
+    """One full simulation summary.  ``Session.simulate`` runs
+    ``keep_candidates`` batches in-process, so candidate objects never
+    cross a process boundary."""
 
     test: LitmusTest
     model: ModelLike
     engine: str = "optimal"
     until: Optional[str] = None
+    keep_candidates: bool = False
+    stop_at_first_violation: bool = True
 
 
 @dataclass(frozen=True)
@@ -140,15 +145,6 @@ class MoleJob:
     package: str
     programs: Tuple[Any, ...]
     max_cycle_length: int = 6
-
-
-@dataclass(frozen=True)
-class BmcJob:
-    """One bounded-model-checking query (an IR program or a litmus test)."""
-
-    item: Any
-    model: ModelLike
-    backend: str = "axiomatic"
 
 
 # -- chunk workers --------------------------------------------------------------
@@ -182,7 +178,11 @@ def simulate_chunk(chunk: List[SimulateJob], payload: Any = None):
         _faults.trip(job.test.name)
         results.append(
             Simulator(job.model, job.engine).run(
-                job.test, until=job.until, context=cache.get(job.test)
+                job.test,
+                keep_candidates=job.keep_candidates,
+                stop_at_first_violation=job.stop_at_first_violation,
+                until=job.until,
+                context=None if job.keep_candidates else cache.get(job.test),
             )
         )
     return results
@@ -249,17 +249,19 @@ def mole_chunk(chunk: List[MoleJob], payload: Any = None):
     return results
 
 
-def bmc_chunk(chunk: List[BmcJob], payload: Any = None):
-    """Worker: one :class:`VerificationResult` per query of the chunk."""
+def bmc_chunk(chunk: List[Any], payload: Tuple[ModelLike, str]):
+    """Worker: one :class:`VerificationResult` per query (an IR program
+    or a litmus test) of the chunk, all decided by one checker built
+    from the ``(model, backend)`` payload."""
     from repro.verification.bmc import BoundedModelChecker
     from repro.verification.program import Program
 
+    checker = BoundedModelChecker(*payload)
     results = []
-    for job in chunk:
-        _faults.trip(getattr(job.item, "name", repr(job.item)))
-        checker = BoundedModelChecker(job.model, job.backend)
-        if isinstance(job.item, Program):
-            results.append(checker.verify(job.item))
+    for item in chunk:
+        _faults.trip(item.name)
+        if isinstance(item, Program):
+            results.append(checker.verify(item))
         else:
-            results.append(checker.verify_litmus(job.item))
+            results.append(checker.verify_litmus(item))
     return results

@@ -14,19 +14,20 @@ preserved.  This module is the one fan-out layer they all share:
   shared by every chunk — and returning one result per job (or
   ``(results, extra)`` when a ``merge`` callback collects per-chunk
   side state, e.g. the fence campaign's cycle-signature memo);
-* results come back in submission order, so sharded campaigns report
-  exactly what the serial path reports;
-* the **serial fallback** (``processes`` of ``None``/``0``/``1``, a
-  single-core machine under ``"auto"``, or a single chunk without a
-  warm pool) runs the very same worker over the very same chunks
-  in-process, so its results are byte-identical to the sharded path by
-  construction;
-* every batch runs on the **supervised** execution layer
-  (:mod:`repro.campaign.supervisor`) under a
-  :class:`~repro.campaign.supervisor.SupervisorPolicy` — the caller's,
-  the pool's, or :data:`DEFAULT_POLICY`: per-chunk deadlines, bounded
-  retry with backoff, worker-death detection with automatic respawn,
-  and poison-item bisection.
+* results come back in submission order, and the runner alone decides
+  where a chunk runs: in worker processes, or in the calling process
+  (one worker, or a single chunk without a warm pool).  Either way the
+  very same worker runs over the very same chunks, so a batch driver
+  has one path and its results do not depend on ``processes``;
+* a batch with several workers, a pool or a caller's
+  :class:`~repro.campaign.supervisor.SupervisorPolicy` runs on the
+  **supervised** execution layer (:mod:`repro.campaign.supervisor`)
+  under that policy — the caller's, the pool's, or
+  :data:`DEFAULT_POLICY`: per-chunk deadlines, bounded retry with
+  backoff, worker-death detection with automatic respawn, and
+  poison-item bisection.  A batch with one worker, no pool and no
+  policy has nothing to supervise: its chunks run in-process and a
+  job's exception reaches the caller as raised.
 
 ``CampaignPool`` keeps one pool alive across several batches: worker
 processes then retain their warm state (per-process context caches)
@@ -59,10 +60,10 @@ from repro.telemetry.metrics import Metrics
 #: costs, large enough to amortize pickling and scheduling.
 DEFAULT_CHUNK_SIZE = 8
 
-#: The policy of a batch that names none: no deadline and no retry,
-#: so a healthy batch runs exactly as on a bare process pool, but a
-#: chunk whose worker crashes or raises is bisected down to its item
-#: and the batch raises :class:`PoisonItemError` instead of hanging.
+#: The policy of a multi-worker batch that names none: no deadline and
+#: no retry, so a healthy batch runs exactly as on a bare process pool,
+#: but a chunk whose worker crashes or raises is bisected down to its
+#: item and the batch raises :class:`PoisonItemError` instead of hanging.
 DEFAULT_POLICY = SupervisorPolicy(on_error="raise", max_retries=0)
 
 Processes = Union[None, int, str]
@@ -78,8 +79,8 @@ def _instrumented_chunk(
 
     The cross-process aggregation seam: when the parent has telemetry
     enabled, every shard runs through this wrapper — in a worker process
-    *or* in-process on the serial fallback, so sharded and serial runs
-    produce identical per-chunk snapshots by construction.  The fresh
+    *or* in the calling process, so a batch produces the same per-chunk
+    snapshots wherever its chunks run.  The fresh
     registry is installed for the duration of the chunk (shadowing any
     registry a forked worker inherited, which would otherwise accumulate
     invisibly in the child), the chunk's wall time and queue wait are
@@ -136,7 +137,7 @@ def _serial_supervised(
 
     Exceptions are caught at the chunk boundary and bisected down to
     the poison item exactly as the pooled supervisor does, so a policy
-    behaves the same when the pool degrades to the serial fallback.
+    behaves the same when a supervised batch runs in-process.
     Crashes and hangs cannot be contained in-process — those need real
     worker processes.  A batch ``policy.deadline`` is honoured at slice
     boundaries: a running chunk cannot be interrupted in-process, but
@@ -192,7 +193,7 @@ def _run_supervised(
     run_worker: Callable,
     make_args: Callable[[List[Any]], Tuple[Any, ...]],
     chunks: Sequence[List[Any]],
-    policy: SupervisorPolicy,
+    policy: Optional[SupervisorPolicy],
     *,
     workers: int,
     pool: Optional["CampaignPool"],
@@ -204,8 +205,15 @@ def _run_supervised(
     ``(chunk_index, offset, outcome)`` triples covering every surviving
     slice.  ``on_error="serial_retry"`` failures are re-run here, in
     the parent; whatever still fails is quarantined (or raised, under
-    ``on_error="raise"``).
+    ``on_error="raise"``).  Without a policy the chunks run in-process
+    unsupervised, and the first exception propagates as raised.
     """
+    if policy is None:
+        successes = [
+            (index, 0, run_worker(*make_args(chunk)))
+            for index, chunk in enumerate(chunks)
+        ]
+        return successes, []
     counters = pool.counters if pool is not None else _supervisor.new_counters()
 
     # A single chunk only stays in-process when there is no warm pool:
@@ -288,17 +296,20 @@ def run_sharded(
     caches this way).  ``pool`` reuses an open :class:`CampaignPool`
     instead of spinning a fresh one.
 
-    Every batch runs on the supervised layer under ``policy`` (else
-    the pool's, else :data:`DEFAULT_POLICY`): chunk deadlines, bounded
-    retry, worker respawn, and poison-item bisection.  Quarantined jobs
-    are dropped from the results — in submission order, so the
-    surviving results equal a clean serial run over the surviving jobs
-    — and reported as :class:`~repro.campaign.supervisor.FailedItem`
-    records appended to the caller's ``errors`` list.  Without a
-    policy, a job whose worker raises or dies makes the batch raise
+    A batch runs on the supervised layer under ``policy`` (else the
+    pool's, else :data:`DEFAULT_POLICY` when ``processes`` asks for
+    several workers): chunk deadlines, bounded retry, worker respawn,
+    and poison-item bisection.  Quarantined jobs are dropped from the
+    results — in submission order, so the surviving results equal a
+    clean run over the surviving jobs — and reported as
+    :class:`~repro.campaign.supervisor.FailedItem` records appended to
+    the caller's ``errors`` list.  Under :data:`DEFAULT_POLICY`, a job
+    whose worker raises or dies makes the batch raise
     :class:`~repro.campaign.supervisor.PoisonItemError`, with one
     ``FailedItem`` per failing job carrying the worker's exception
-    ``repr`` and traceback.
+    ``repr`` and traceback.  With one worker, no pool and no policy,
+    the chunks run in-process unsupervised and a job's exception
+    propagates unchanged.
 
     A payload that fails to pickle does not surface as a raw
     ``PicklingError`` from inside the pool machinery: the batch falls
@@ -318,9 +329,11 @@ def run_sharded(
     jobs = list(jobs)
     parent_registry = _telemetry._ACTIVE
     batch_t0 = time.perf_counter()
-    if policy is None:
-        policy = pool.policy if pool is not None else DEFAULT_POLICY
     workers = pool.workers if pool is not None else worker_count(processes)
+    if policy is None and pool is not None:
+        policy = pool.policy
+    elif policy is None and workers > 1:
+        policy = DEFAULT_POLICY
     chunks = chunked(jobs, chunk_size)
 
     if parent_registry is not None:
@@ -385,8 +398,8 @@ class CampaignPool:
     per-process warm state built by :mod:`repro.campaign.jobs` (per-test
     simulation contexts) carries over from one batch to the next —
     exactly what escalation loops and repeated model comparisons want.
-    With an effective worker count of one the pool degrades to the
-    serial fallback and spawns nothing.
+    With an effective worker count of one the pool runs its batches
+    in-process, still under its policy, and spawns nothing.
 
     ``policy`` (a :class:`~repro.campaign.supervisor.SupervisorPolicy`,
     default :data:`DEFAULT_POLICY`) is the default of every batch on

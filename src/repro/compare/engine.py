@@ -10,16 +10,16 @@ sets — with two economies on top:
   model-independent front half of the pipeline (thread paths, event
   interning, plans) is paid once per test instead of once per
   (test, model) pair;
-* **campaign sharding** — the paired jobs fan out over the supervised
-  campaign runtime (:class:`~repro.campaign.jobs.VerdictJob`) when
-  a pool or worker count is supplied, with exactly the serial results
-  (asserted in the test-suite) and quarantine semantics for poison
-  tests.
+* **campaign sharding** — the paired jobs
+  (:class:`~repro.campaign.jobs.VerdictJob`) go to the campaign
+  runtime in one batch, which fans them out over worker processes when
+  a pool or worker count is supplied, with quarantine semantics for
+  poison tests under a supervisor policy.
 
-:func:`paired_verdicts` is the one sharded-or-serial verdict driver of
-the package: the diy family sweep
-(:func:`repro.diy.families.sweep_family`) is this driver over a single
-model.
+:func:`paired_verdicts` is the one verdict driver of the package: the
+diy family sweep (:func:`repro.diy.families.sweep_family`) is this
+driver over a single model, and the verdict service's pooled batches
+call it too.
 
 Minimality of a witness is certified, not assumed: after the sweep,
 every budget-corpus member strictly smaller than the candidate witness
@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.campaign.jobs import VerdictJob, caller_context_cache, verdict_chunk
+from repro.campaign.runner import run_sharded
 from repro.compare.corpus import (
     CorpusBudget,
     comparison_corpus,
@@ -78,52 +80,28 @@ def paired_verdicts(
 ) -> PairedVerdicts:
     """``(test name, verdict per model)`` for every test, in order.
 
-    Shards :class:`~repro.campaign.jobs.VerdictJob` chunks, which carry
-    the models as given, over the campaign runtime when a pool (or a
-    worker count above one) is available; otherwise runs in-process,
-    still sharing one context per test across all models.  Quarantined
-    tests of a sharded run are dropped from the result and recorded on
+    One :func:`~repro.campaign.runner.run_sharded` batch of
+    :class:`~repro.campaign.jobs.VerdictJob` chunks, which carry the
+    models as given; each job shares one context per test across all
+    models.  Chunks that run in this process look their contexts up in
+    ``context_cache``.  Every model and the engine are checked here
+    first, so a bad one raises in the caller whatever the worker count.
+    Quarantined tests are dropped from the result and recorded on
     ``errors``.
     """
-    from repro.campaign import runner as campaign_runner
-
-    tests = list(tests)
-    models = list(models)
-    if (
-        pool is not None or campaign_runner.worker_count(processes) > 1
-    ) and len(tests) > 1:
-        from repro.campaign.jobs import (
-            VerdictJob,
-            caller_context_cache,
+    models = tuple(models)
+    for model in models:
+        Simulator(model, engine)  # a bad model or engine raises here
+    with caller_context_cache(context_cache):
+        return run_sharded(
             verdict_chunk,
+            [VerdictJob(test, models, engine) for test in tests],
+            processes=processes,
+            chunk_size=chunk_size,
+            pool=pool,
+            policy=policy,
+            errors=errors,
         )
-
-        jobs = [VerdictJob(test, tuple(models), engine) for test in tests]
-        with caller_context_cache(context_cache):
-            return campaign_runner.run_sharded(
-                verdict_chunk,
-                jobs,
-                processes=processes,
-                chunk_size=chunk_size,
-                pool=pool,
-                policy=policy,
-                errors=errors,
-            )
-
-    simulators = [Simulator(model, engine=engine) for model in models]
-    results: PairedVerdicts = []
-    for test in tests:
-        context = context_cache.get(test) if context_cache is not None else None
-        results.append(
-            (
-                test.name,
-                tuple(
-                    simulator.verdict(test, context=context)
-                    for simulator in simulators
-                ),
-            )
-        )
-    return results
 
 
 def _build_rows(

@@ -71,7 +71,7 @@ def tso_ffence(execution: Execution) -> Relation:
 # ---------------------------------------------------------------------------
 
 def _cumulative_prop(
-    execution: Execution, ppo: Relation, fences: Relation, ffence: Relation
+    execution: Execution, fences: Relation, hb: Relation, ffence: Relation
 ) -> Relation:
     """The Power/ARM propagation order (Fig. 18).
 
@@ -87,7 +87,6 @@ def _cumulative_prop(
     if not fences and not ffence:
         return Relation.empty()
     events = execution.memory_events
-    hb = ppo | fences | execution.rfe
     hb_star = hb.reflexive_transitive_closure(events)
     a_cumul = execution.rfe.seq(fences)
     prop_base = (fences | a_cumul).seq(hb_star)
@@ -97,25 +96,35 @@ def _cumulative_prop(
     return execution.restrict_ww(prop_base) | strong
 
 
-def power_prop(execution: Execution, ppo: Relation, fences: Relation) -> Relation:
-    return _cumulative_prop(execution, ppo, fences, execution.shared(power_ffence))
+def power_prop(
+    execution: Execution, ppo: Relation, fences: Relation, hb: Relation
+) -> Relation:
+    return _cumulative_prop(execution, fences, hb, execution.shared(power_ffence))
 
 
-def arm_prop(execution: Execution, ppo: Relation, fences: Relation) -> Relation:
-    return _cumulative_prop(execution, ppo, fences, execution.shared(arm_ffence))
+def arm_prop(
+    execution: Execution, ppo: Relation, fences: Relation, hb: Relation
+) -> Relation:
+    return _cumulative_prop(execution, fences, hb, execution.shared(arm_ffence))
 
 
-def sc_prop(execution: Execution, ppo: Relation, fences: Relation) -> Relation:
+def sc_prop(
+    execution: Execution, ppo: Relation, fences: Relation, hb: Relation
+) -> Relation:
     """SC (Fig. 21): prop = ppo ∪ fences ∪ rf ∪ fr."""
     return ppo | fences | execution.rf | execution.fr
 
 
-def tso_prop(execution: Execution, ppo: Relation, fences: Relation) -> Relation:
+def tso_prop(
+    execution: Execution, ppo: Relation, fences: Relation, hb: Relation
+) -> Relation:
     """TSO (Fig. 21): prop = ppo ∪ fences ∪ rfe ∪ fr."""
     return ppo | fences | execution.rfe | execution.fr
 
 
-def cpp_ra_prop(execution: Execution, ppo: Relation, fences: Relation) -> Relation:
+def cpp_ra_prop(
+    execution: Execution, ppo: Relation, fences: Relation, hb: Relation
+) -> Relation:
     """C++ R-A (Fig. 21): prop = hb+ with hb = sb ∪ rf."""
     return (ppo | fences | execution.rf).transitive_closure()
 

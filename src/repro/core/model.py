@@ -20,7 +20,7 @@ from repro.core.execution import Execution
 from repro.core.relation import Relation
 
 RelationFn = Callable[[Execution], Relation]
-PropFn = Callable[[Execution, Relation, Relation], Relation]
+PropFn = Callable[[Execution, Relation, Relation, Relation], Relation]
 
 
 def no_relation(execution: Execution) -> Relation:
@@ -53,7 +53,9 @@ class Architecture:
         relations relevant to the architecture, already direction
         filtered, e.g. ``lwsync \\ WR`` on Power).
     prop_fn:
-        (Execution, ppo, fences) -> the propagation order.
+        (Execution, ppo, fences, hb) -> the propagation order, given the
+        execution's ``hb`` (:meth:`hb`) so that a prop built on it
+        shares its closures with the axioms.
     ffence_fn:
         Execution -> the full-fence relation (used by the operational
         machine and by prop on Power/ARM); defaults to the empty relation.
@@ -82,12 +84,15 @@ class Architecture:
         return execution.shared(self.ffence_fn)
 
     def prop(self, execution: Execution, ppo: Optional[Relation] = None,
-             fences: Optional[Relation] = None) -> Relation:
+             fences: Optional[Relation] = None,
+             hb: Optional[Relation] = None) -> Relation:
         if ppo is None:
             ppo = self.ppo(execution)
         if fences is None:
             fences = self.fences(execution)
-        return self.prop_fn(execution, ppo, fences)
+        if hb is None:
+            hb = self.hb(execution, ppo, fences)
+        return self.prop_fn(execution, ppo, fences, hb)
 
     def hb(self, execution: Execution, ppo: Optional[Relation] = None,
            fences: Optional[Relation] = None) -> Relation:
@@ -102,8 +107,8 @@ class Architecture:
         """All architecture-level relations of an execution, by name."""
         ppo = self.ppo(execution)
         fences = self.fences(execution)
-        prop = self.prop_fn(execution, ppo, fences)
-        hb = ppo | fences | execution.rfe
+        hb = self.hb(execution, ppo, fences)
+        prop = self.prop_fn(execution, ppo, fences, hb)
         return {
             "ppo": ppo,
             "fences": fences,
@@ -175,7 +180,7 @@ class Model:
 
         ppo = arch.ppo(execution)
         fences = arch.fences(execution)
-        hb = ppo | fences | execution.rfe
+        hb = arch.hb(execution, ppo, fences)
 
         violation = axioms.check_no_thin_air(execution, hb)
         if violation is not None:
@@ -183,7 +188,7 @@ class Model:
             if stop_at_first:
                 return CheckResult(False, tuple(violations))
 
-        prop = arch.prop(execution, ppo, fences)
+        prop = arch.prop(execution, ppo, fences, hb)
 
         violation = axioms.check_observation(execution, prop, hb)
         if violation is not None:

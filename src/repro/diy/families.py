@@ -216,13 +216,13 @@ def sweep_family(
     single-model case of :func:`repro.compare.engine.paired_verdicts`.
     Verdicts of distinct tests are independent, so ``processes`` (an
     int, or ``"auto"`` for one worker per core) or a ``pool`` shards
-    them over the campaign runtime, whatever form the model takes.
-    Serially (and in chunks that run in-process), ``context_cache``
-    lets repeated sweeps of the same family (e.g. under several models)
-    skip the front half of the pipeline.
+    them over the campaign runtime, whatever form the model takes.  In
+    chunks that run in-process, ``context_cache`` lets repeated sweeps
+    of the same family (e.g. under several models) skip the front half
+    of the pipeline.
 
     ``policy`` (a :class:`~repro.campaign.SupervisorPolicy`, or the
-    pool's own default) makes the sharded sweep fault-tolerant:
+    pool's own default) makes the sweep fault-tolerant:
     quarantined tests are dropped from ``verdicts`` and recorded as
     :class:`~repro.campaign.FailedItem` entries on ``sweep.errors``
     (also appended to ``errors`` when the caller passes a list).

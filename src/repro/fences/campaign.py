@@ -10,12 +10,13 @@ subsequent repairs with them — each seeded repair still runs one
 confirming validation, so a stale cache entry costs a little time, never
 correctness.
 
-Repairs of distinct tests are independent, so the driver fans out over
-the shared campaign runtime (:mod:`repro.campaign`): chunks of tests
-are sharded over a process pool, worker processes return their local
-cache entries, and the parent merges them in submission order.  Workers
-resolve the model once per chunk and keep a per-test
-simulation-context cache across every chunk they serve.
+Repairs of distinct tests are independent, so the driver hands the
+family to the shared campaign runtime (:mod:`repro.campaign`) as one
+batch: every chunk repairs against the memo as it stood when the batch
+began, returns its local cache entries, and the parent merges them in
+submission order — the same whether the chunks ran in worker processes
+or in this one.  Workers resolve the model once per chunk and keep a
+per-test simulation-context cache across every chunk they serve.
 """
 
 from __future__ import annotations
@@ -177,19 +178,20 @@ def repair_family(
 ) -> CampaignResult:
     """Repair every test of a family, optionally in parallel.
 
-    ``processes`` (an int, or ``"auto"`` for one worker per core) fans
-    the family out over the shared campaign runner, each worker
-    resolving the model once per chunk; otherwise the repairs run
-    serially in-process with the model resolved once for the whole
-    campaign.  The memo ``cache`` may be shared across calls to
-    amortise work over several families; worker-local cache entries
-    are merged back in submission order, exactly as the serial loop
-    would have accumulated them chunk by chunk.
+    The family is one batch of the shared campaign runner, chunked by
+    ``chunk_size``; ``processes`` (an int, or ``"auto"`` for one worker
+    per core) or a ``pool`` spreads the chunks over worker processes,
+    each resolving the model once per chunk.  Every chunk is seeded
+    with the memo ``cache`` as it stood when the batch began and learns
+    only from its own repairs; the chunks' cache entries are merged
+    back in submission order, so the reports and the memo do not
+    depend on where the chunks ran.  ``cache`` may be shared across
+    calls to amortise work over several families.
 
-    ``context_cache`` (serial path, and chunks that run in-process)
-    reuses per-test simulation contexts across validation verdicts;
-    worker processes always keep their own per-process context caches,
-    which persist across chunks — and across whole batches when an open
+    ``context_cache`` (chunks that run in-process) reuses per-test
+    simulation contexts across validation verdicts; worker processes
+    always keep their own per-process context caches, which persist
+    across chunks — and across whole batches when an open
     :class:`repro.campaign.CampaignPool` is passed as ``pool``.
 
     ``strategy`` (``"greedy"`` or ``"ilp"``) selects the placement
@@ -198,41 +200,30 @@ def repair_family(
     strategy, so mixed-strategy campaigns may share one ``cache``).
 
     ``policy`` (a :class:`~repro.campaign.SupervisorPolicy`, or the
-    pool's own default) makes the sharded campaign fault-tolerant:
-    quarantined tests are dropped from ``reports`` and recorded as
+    pool's own default) makes the campaign fault-tolerant: quarantined
+    tests are dropped from ``reports`` and recorded as
     :class:`~repro.campaign.FailedItem` entries on ``result.errors``
     (also appended to ``errors`` when the caller passes a list).
     """
-    tests = list(tests)
+    from repro.campaign.jobs import caller_context_cache, repair_chunk
+
     if cache is None:
         cache = {}
     resolved = resolve_model(model)
     failed: List = [] if errors is None else errors
     first_failure = len(failed)
-
-    if pool is not None or campaign_runner.worker_count(processes) > 1:
-        from repro.campaign.jobs import caller_context_cache, repair_chunk
-
-        with caller_context_cache(context_cache):
-            reports: List[RepairReport] = campaign_runner.run_sharded(
-                repair_chunk,
-                tests,
-                payload=(model, dict(cache), strategy),
-                processes=processes,
-                chunk_size=chunk_size,
-                merge=cache.update,
-                pool=pool,
-                policy=policy,
-                errors=failed,
-            )
-    else:
-        reports = [
-            repair_one(
-                test, resolved, cache, context_cache=context_cache,
-                strategy=strategy,
-            )
-            for test in tests
-        ]
+    with caller_context_cache(context_cache):
+        reports: List[RepairReport] = campaign_runner.run_sharded(
+            repair_chunk,
+            tests,
+            payload=(model, dict(cache), strategy),
+            processes=processes,
+            chunk_size=chunk_size,
+            merge=cache.update,
+            pool=pool,
+            policy=policy,
+            errors=failed,
+        )
 
     cache_hits = sum(1 for report in reports if report.from_cache)
     return CampaignResult(

@@ -85,10 +85,8 @@ class _NoObservationModel:
         self._base = arm_llh_architecture()
         self.name = "arm-no-observation"
 
-    def _weak_prop(self, execution: Execution, ppo: Relation, fences: Relation) -> Relation:
-        hb_star = (ppo | fences | execution.rfe).reflexive_transitive_closure(
-            execution.memory_events
-        )
+    def _weak_prop(self, execution: Execution, fences: Relation, hb: Relation) -> Relation:
+        hb_star = hb.reflexive_transitive_closure(execution.memory_events)
         prop_base = (fences | execution.rfe.seq(fences)).seq(hb_star)
         return execution.restrict_ww(prop_base)
 
@@ -104,13 +102,13 @@ class _NoObservationModel:
                 return CheckResult(False, tuple(violations))
         ppo = arch.ppo(execution)
         fences = arch.fences(execution)
-        hb = ppo | fences | execution.rfe
+        hb = arch.hb(execution, ppo, fences)
         violation = ax.check_no_thin_air(execution, hb)
         if violation is not None:
             violations.append(violation)
             if stop_at_first:
                 return CheckResult(False, tuple(violations))
-        prop = self._weak_prop(execution, ppo, fences)
+        prop = self._weak_prop(execution, fences, hb)
         violation = ax.check_propagation(execution, prop, arch.propagation_variant)
         if violation is not None:
             violations.append(violation)

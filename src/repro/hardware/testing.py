@@ -226,71 +226,53 @@ def run_campaign(
 ) -> CampaignReport:
     """Run a family of tests on a chip population and compare with a model.
 
-    ``processes`` (an int, or ``"auto"`` for one worker per core) shards
-    the per-test work over the campaign runtime; every job carries the
-    model and the chips as given.  Chip RNG seeds are drawn up front by
-    the parent in the serial order, so sharded reports are identical to
-    serial ones.
-    ``pool`` reuses an open :class:`repro.campaign.CampaignPool` (a
-    session's warm workers) instead of spinning a fresh one per call.
+    The family is one batch of the campaign runtime, chunked by
+    ``chunk_size``; ``processes`` (an int, or ``"auto"`` for one worker
+    per core) or a ``pool`` (a session's warm workers, reused instead
+    of spinning a fresh pool per call) spreads the chunks over worker
+    processes.  Every job carries the model and the chips as given,
+    and chip RNG seeds are drawn up front by the parent in family
+    order, so a report does not depend on where its chunks ran.
 
     Every test is simulated several times per campaign — once under the
     reference model, then once per chip implementation model plus its
-    errata — so the serial path keeps a per-test context cache of its
-    own when the caller does not supply one (workers always do, per
-    process).
+    errata — so every job shares the test's memoized context: chunks
+    that run in-process use ``context_cache`` (a one-entry batch-local
+    one when the caller supplies none), workers their per-process
+    caches.
 
     ``policy`` (a :class:`~repro.campaign.SupervisorPolicy`, or the
-    pool's own default) makes the sharded campaign fault-tolerant:
-    quarantined tests are dropped from ``report.results`` and recorded
-    as :class:`~repro.campaign.FailedItem` entries on ``report.errors``
+    pool's own default) makes the campaign fault-tolerant: quarantined
+    tests are dropped from ``report.results`` and recorded as
+    :class:`~repro.campaign.FailedItem` entries on ``report.errors``
     (also appended to ``errors`` when the caller passes a list).
     """
-    from repro.campaign import ContextCache, runner as campaign_runner
+    from repro.campaign import runner as campaign_runner
+    from repro.campaign.jobs import HardwareJob, caller_context_cache, hardware_chunk
 
-    tests = list(tests)
-    if context_cache is None:
-        context_cache = ContextCache()
-    simulator = Simulator(model)
-    report = CampaignReport(model_name=simulator.model_name)
+    chips = tuple(chips)
+    report = CampaignReport(model_name=Simulator(model).model_name)
     rng = random.Random(seed)
-    seeds = [tuple(rng.randint(0, 2**31) for _ in chips) for _ in tests]
-
-    if (
-        pool is not None or campaign_runner.worker_count(processes) > 1
-    ) and len(tests) > 1:
-        from repro.campaign.jobs import (
-            HardwareJob,
-            caller_context_cache,
-            hardware_chunk,
+    jobs = [
+        HardwareJob(
+            test, model, chips, iterations, tuple(rng.randint(0, 2**31) for _ in chips)
         )
-
-        chips = tuple(chips)
-        jobs = [
-            HardwareJob(test, model, chips, iterations, test_seeds)
-            for test, test_seeds in zip(tests, seeds)
-        ]
-        with caller_context_cache(context_cache):
-            report.results.extend(
-                campaign_runner.run_sharded(
-                    hardware_chunk,
-                    jobs,
-                    processes=processes,
-                    chunk_size=chunk_size,
-                    pool=pool,
-                    policy=policy,
-                    errors=report.errors,
-                )
+        for test in tests
+    ]
+    with caller_context_cache(context_cache):
+        report.results.extend(
+            campaign_runner.run_sharded(
+                hardware_chunk,
+                jobs,
+                processes=processes,
+                chunk_size=chunk_size,
+                pool=pool,
+                policy=policy,
+                errors=report.errors,
             )
-        if errors is not None:
-            errors.extend(report.errors)
-    else:
-        for test, test_seeds in zip(tests, seeds):
-            report.results.append(
-                observe_test(
-                    simulator, test, chips, iterations, test_seeds, context_cache
-                )
-            )
+        )
+    if errors is not None:
+        errors.extend(report.errors)
     return report
 
 

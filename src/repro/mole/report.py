@@ -86,48 +86,36 @@ def analyse_corpus(
 ) -> Dict[str, MoleReport]:
     """Run mole over a whole corpus; one aggregated report per package.
 
-    ``processes`` (an int, or ``"auto"`` for one worker per core) shards
-    the per-package cycle searches over the campaign runtime — packages
-    are independent, and the static analysis is pure, so sharded
-    censuses equal serial ones exactly.  ``pool`` reuses an open
-    :class:`repro.campaign.CampaignPool` (a session's warm workers)
-    instead of spinning a fresh one per call.
+    The corpus is one batch of the campaign runtime, one job per
+    package; ``processes`` (an int, or ``"auto"`` for one worker per
+    core) or a ``pool`` (a session's warm workers, reused instead of
+    spinning a fresh pool per call) spreads the per-package cycle
+    searches over worker processes — packages are independent, and the
+    static analysis is pure, so a census does not depend on where its
+    chunks ran.
 
     ``policy`` (a :class:`~repro.campaign.SupervisorPolicy`, or the
-    pool's own default) makes the sharded census fault-tolerant:
-    quarantined packages are dropped from the report dictionary and
-    appended to ``errors`` (when the caller passes a list) as
+    pool's own default) makes the census fault-tolerant: quarantined
+    packages are dropped from the report dictionary and appended to
+    ``errors`` (when the caller passes a list) as
     :class:`~repro.campaign.FailedItem` records.
     """
-    from repro.campaign import runner as campaign_runner
+    from repro.campaign.jobs import MoleJob, mole_chunk
+    from repro.campaign.runner import run_sharded
 
-    packages = [(package, tuple(programs)) for package, programs in corpus.items()]
-    if (
-        pool is not None or campaign_runner.worker_count(processes) > 1
-    ) and len(packages) > 1:
-        from repro.campaign.jobs import MoleJob, mole_chunk
-
-        jobs = [
-            MoleJob(package, programs, max_cycle_length)
-            for package, programs in packages
-        ]
-        return {
-            package: MoleReport(name=package, cycles=cycles)
-            for package, cycles in campaign_runner.run_sharded(
-                mole_chunk,
-                jobs,
-                processes=processes,
-                chunk_size=chunk_size,
-                pool=pool,
-                policy=policy,
-                errors=errors,
-            )
-        }
-
-    reports: Dict[str, MoleReport] = {}
-    for package, programs in packages:
-        cycles: List[StaticCycle] = []
-        for program in programs:
-            cycles.extend(find_cycles(program, max_cycle_length))
-        reports[package] = MoleReport(name=package, cycles=cycles)
-    return reports
+    jobs = [
+        MoleJob(package, tuple(programs), max_cycle_length)
+        for package, programs in corpus.items()
+    ]
+    return {
+        package: MoleReport(name=package, cycles=cycles)
+        for package, cycles in run_sharded(
+            mole_chunk,
+            jobs,
+            processes=processes,
+            chunk_size=chunk_size,
+            pool=pool,
+            policy=policy,
+            errors=errors,
+        )
+    }

@@ -211,7 +211,7 @@ class MultiEventModel:
 
         ppo = arch.ppo(execution)
         fences = arch.fences(execution)
-        hb = ppo | fences | execution.rfe
+        hb = arch.hb(execution, ppo, fences)
 
         violation = lifted_cycle_check(axioms.AXIOM_NO_THIN_AIR, hb)
         if violation is not None:
@@ -219,7 +219,7 @@ class MultiEventModel:
             if stop_at_first:
                 return CheckResult(False, tuple(violations))
 
-        prop = arch.prop(execution, ppo, fences)
+        prop = arch.prop(execution, ppo, fences, hb)
 
         # OBSERVATION: irreflexive(fre; prop; hb*), composed over the copies.
         lifted_fre = self._lift(execution.fre, copies, copy_index, lift_table)

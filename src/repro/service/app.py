@@ -591,25 +591,17 @@ class VerdictService:
                 }
 
         else:
-            # run_sharded directly (not paired_verdicts): the driver
-            # shortcuts single-test batches to serial in-process, which
-            # would bypass chunk supervision — the pool must own every
-            # pooled item so deadlines and quarantine always apply.
-            from repro.campaign import runner as campaign_runner
-            from repro.campaign.jobs import (
-                VerdictJob,
-                caller_context_cache,
-                verdict_chunk,
-            )
+            from repro.compare.engine import paired_verdicts
 
-            with caller_context_cache(session.context_cache):
-                survivors = campaign_runner.run_sharded(
-                    verdict_chunk,
-                    [VerdictJob(test, head.models, session.engine) for test in tests],
-                    pool=session.pool(),
-                    policy=policy,
-                    errors=errors,
-                )
+            survivors = paired_verdicts(
+                tests,
+                head.models,
+                engine=session.engine,
+                pool=session.pool(),
+                context_cache=session.context_cache,
+                policy=policy,
+                errors=errors,
+            )
 
             def render(item: _Item, verdicts) -> Dict[str, Any]:
                 return self._verdict_line(

@@ -24,11 +24,11 @@ A :class:`Session` owns that cross-cutting state once:
   overridden per call.
 
 Every verb accepts a single item *or* an iterable and auto-dispatches:
-single calls run in-process against the session caches; iterables go
-through the campaign runtime on the session's warm pool (or the serial
-fallback, which shares the same caches).  All results conform to the
-:class:`repro.report.Report` protocol, so batch outputs serialize
-uniformly.
+single calls run in-process against the session caches; an iterable is
+one batch of the campaign runtime, on the session's warm pool when it
+has one and in-process otherwise, sharing the same caches either way.
+All results conform to the :class:`repro.report.Report` protocol, so
+batch outputs serialize uniformly.
 
 Usage::
 
@@ -61,6 +61,7 @@ from repro.campaign import (
     ErrorRing,
     FailedItem,
     SupervisorPolicy,
+    run_sharded,
     worker_count,
 )
 from repro.campaign import supervisor as _supervisor
@@ -128,8 +129,9 @@ class Session:
     ``errors`` and on :attr:`last_errors`), ``"serial_retry"`` (one
     in-process retry in the parent first) or ``"raise"`` (raise
     :class:`~repro.campaign.PoisonItemError`).  Supervision counters
-    accumulate in ``stats()["supervisor"]``.  Serial sessions keep the
-    exact in-process semantics — exceptions propagate to the caller.
+    accumulate in ``stats()["supervisor"]``.  A serial session runs its
+    batches through the same runner, in-process and unsupervised: there
+    is no worker to lose, so an exception propagates to the caller.
     """
 
     def __init__(
@@ -413,45 +415,33 @@ class Session:
         """Full simulation summaries — one result per test.
 
         A single test runs in-process on the session caches; an
-        iterable is sharded over the warm pool (full summaries pickle
-        fine), except for ``keep_candidates`` queries, which stay
-        serial so the candidate objects never cross a process boundary.
+        iterable is one batch on the warm pool (full summaries pickle
+        fine), except for ``keep_candidates`` batches, which run
+        in-process so the candidate objects never cross a process
+        boundary.
         """
         if isinstance(tests, LitmusTest):
             return self._simulate_one(
                 tests, model, engine, keep_candidates, stop_at_first_violation, until
             )
-        batch = list(tests)
-        if (
-            self.workers > 1
-            and len(batch) > 1
-            and not keep_candidates
-            and stop_at_first_violation
-        ):
-            from repro.campaign.jobs import (
-                SimulateJob,
-                caller_context_cache,
-                simulate_chunk,
-            )
+        from repro.campaign.jobs import SimulateJob, caller_context_cache, simulate_chunk
 
-            resolved = self.resolve(model)
-            effective = self.engine if engine is None else engine
-            jobs = [SimulateJob(test, resolved, effective, until) for test in batch]
-            with caller_context_cache(self.context_cache):
-                return self.pool().run(
-                    simulate_chunk, jobs, errors=self._fresh_errors()
-                )
-        simulator = self.simulator(model, engine)
-        return [
-            simulator.run(
-                test,
-                keep_candidates=keep_candidates,
-                stop_at_first_violation=stop_at_first_violation,
-                until=until,
-                context=None if keep_candidates else self.context_cache.get(test),
+        resolved = self.resolve(model)
+        effective = self.engine if engine is None else engine
+        jobs = [
+            SimulateJob(
+                test, resolved, effective, until, keep_candidates,
+                stop_at_first_violation,
             )
-            for test in batch
+            for test in tests
         ]
+        with caller_context_cache(self.context_cache):
+            return run_sharded(
+                simulate_chunk,
+                jobs,
+                pool=None if keep_candidates else self.pool(),
+                errors=self._fresh_errors(),
+            )
 
     def _simulate_one(
         self, test, model, engine, keep_candidates, stop_at_first_violation, until
@@ -663,8 +653,8 @@ class Session:
         """Run the mole static cycle analysis: one program yields a
         :class:`~repro.mole.report.MoleReport`, a mapping (package name
         -> programs) a per-package report dictionary, any other
-        iterable a list of per-program reports — batches sharded over
-        the session pool."""
+        iterable a list of per-program reports — batches on the
+        session pool."""
         from repro.verification.program import Program
 
         if isinstance(programs, Program):
@@ -681,25 +671,23 @@ class Session:
                 pool=self.pool(),
                 errors=self._fresh_errors(),
             )
-        batch = list(programs)
-        pool = self.pool()
-        if pool is not None and len(batch) > 1:
-            from repro.campaign.jobs import MoleJob, mole_chunk
-            from repro.mole.report import MoleReport
+        from repro.campaign.jobs import MoleJob, mole_chunk
+        from repro.mole.report import MoleReport
 
-            jobs = [
-                MoleJob(program.name, (program,), max_cycle_length)
-                for program in batch
-            ]
-            return [
-                MoleReport(name=name, cycles=cycles)
-                for name, cycles in pool.run(
-                    mole_chunk, jobs, chunk_size=2, errors=self._fresh_errors()
-                )
-            ]
-        from repro.mole.report import analyse_program
-
-        return [analyse_program(program, max_cycle_length) for program in batch]
+        jobs = [
+            MoleJob(program.name, (program,), max_cycle_length)
+            for program in programs
+        ]
+        return [
+            MoleReport(name=name, cycles=cycles)
+            for name, cycles in run_sharded(
+                mole_chunk,
+                jobs,
+                chunk_size=2,
+                pool=self.pool(),
+                errors=self._fresh_errors(),
+            )
+        ]
 
     def verify(
         self,

@@ -346,41 +346,32 @@ def verify_batch(
 ) -> List[VerificationResult]:
     """Verify a batch of programs and/or litmus tests, optionally sharded.
 
-    The batch path of the Tab. X/XI experiments: one checker decides the
-    whole batch (constructed once, not per item), and ``processes`` (an
-    int, or ``"auto"`` for one worker per core) shards the queries over
-    the campaign runtime, each worker building a checker per query.
-    Results come back in batch order; ``elapsed_seconds`` is
-    measured wherever the query actually ran.
+    The batch path of the Tab. X/XI experiments: one batch of the
+    campaign runtime, in which each chunk's queries are decided by one
+    checker; ``processes`` (an int, or ``"auto"`` for one worker per
+    core) or a ``pool`` spreads the chunks over worker processes.  The
+    model and backend are checked here first, so a bad one raises in
+    the caller whatever the worker count.  Results come back in batch
+    order; ``elapsed_seconds`` is measured wherever the query actually
+    ran.
 
     ``policy`` (a :class:`~repro.campaign.SupervisorPolicy`, or the
-    pool's own default) makes the sharded batch fault-tolerant:
-    quarantined queries are dropped from the results and appended to
-    ``errors`` (when the caller passes a list) as
+    pool's own default) makes the batch fault-tolerant: quarantined
+    queries are dropped from the results and appended to ``errors``
+    (when the caller passes a list) as
     :class:`~repro.campaign.FailedItem` records.
     """
-    from repro.campaign import runner as campaign_runner
+    from repro.campaign.jobs import bmc_chunk
+    from repro.campaign.runner import run_sharded
 
-    items = list(items)
-    if (
-        pool is not None or campaign_runner.worker_count(processes) > 1
-    ) and len(items) > 1:
-        from repro.campaign.jobs import BmcJob, bmc_chunk
-
-        return campaign_runner.run_sharded(
-            bmc_chunk,
-            [BmcJob(item, model, backend) for item in items],
-            processes=processes,
-            chunk_size=chunk_size,
-            pool=pool,
-            policy=policy,
-            errors=errors,
-        )
-
-    checker = BoundedModelChecker(model, backend)
-    return [
-        checker.verify(item)
-        if isinstance(item, Program)
-        else checker.verify_litmus(item)
-        for item in items
-    ]
+    BoundedModelChecker(model, backend)  # a bad model or backend raises here
+    return run_sharded(
+        bmc_chunk,
+        items,
+        payload=(model, backend),
+        processes=processes,
+        chunk_size=chunk_size,
+        pool=pool,
+        policy=policy,
+        errors=errors,
+    )

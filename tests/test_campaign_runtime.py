@@ -3,14 +3,19 @@
 Differential guarantees, in the spirit of ``tests/test_differential.py``:
 
 * sharded campaign results equal serial results for all five drivers
-  (fence repair, hardware testing, mole censuses, diy sweeps, BMC);
+  (fence repair, hardware testing, mole censuses, diy sweeps, BMC), and
+  both equal a loop over the driver's single-item function — the
+  runner's in-process path is not its own oracle;
 * context-cache hits return results identical to cold runs, across
   models and SC-PER-LOCATION variants;
 * splicing a test (fence repair) never hits the original's cached
   context — structural fingerprints make stale relations unreachable.
 """
 
+import dataclasses
+import multiprocessing
 import pickle
+import random
 
 import pytest
 
@@ -18,23 +23,29 @@ from repro.campaign import (
     CampaignPool,
     ContextCache,
     SimulationContext,
+    SupervisorPolicy,
     chunked,
     run_sharded,
     test_fingerprint,
     worker_count,
 )
 from repro.cat import builtin_model_names, load_builtin_model
+from repro.compare import compare_models
 from repro.core.architectures import ARCHITECTURES
 from repro.core.model import Model
-from repro.diy.families import sweep_family, two_thread_family
+from repro.diy.families import extended_family, sweep_family, two_thread_family
 from repro.fences.campaign import repair_family
 from repro.fences.validate import repair_test
 from repro.hardware import default_arm_chips, default_power_chips, run_campaign
+from repro.hardware.testing import observe_test
 from repro.herd.simulator import Simulator, resolve_model
 from repro.litmus.registry import all_tests, get_test
 from repro.mole import analyse_corpus, debian_corpus
+from repro.mole.analysis import find_cycles
 from repro.verification import verify_batch
+from repro.verification.bmc import BoundedModelChecker
 from repro.verification.examples import all_examples
+from repro.verification.program import Program
 
 MODELS = ("power", "arm", "tso", "arm-llh")
 
@@ -106,19 +117,36 @@ def test_campaign_pool_reuses_workers_across_batches():
 # -- (a) sharded results == serial results across drivers ---------------------------
 
 
+def _memo_free(report):
+    """A repair report without what the campaign memo alone decides."""
+    return dataclasses.replace(report, validations=0, from_cache=False)
+
+
+def _observe_each(tests, chips, model, iterations, seed=2014):
+    """``observe_test`` per test, with the chip seeds drawn in family
+    order from ``Random(seed)``, as :func:`run_campaign` documents."""
+    rng = random.Random(seed)
+    simulator = Simulator(model)
+    return [
+        observe_test(
+            simulator, test, chips, iterations,
+            tuple(rng.randint(0, 2**31) for _ in chips),
+        )
+        for test in tests
+    ]
+
+
 def test_sharded_fence_campaign_matches_serial():
-    tests = _family()
-    serial = repair_family(tests, "power")
+    tests = two_thread_family("power", limit=48) + extended_family("power", limit=12)
+    serial = repair_family(tests, "power", chunk_size=4)
     sharded = repair_family(tests, "power", processes=2, chunk_size=4)
     assert serial.model_name == sharded.model_name
-    assert [
-        (r.test_name, r.before_verdict, r.after_verdict, r.success, r.mechanisms)
-        for r in serial.reports
-    ] == [
-        (r.test_name, r.before_verdict, r.after_verdict, r.success, r.mechanisms)
-        for r in sharded.reports
-    ]
-    assert serial.total_cost == sharded.total_cost
+    assert serial.reports == sharded.reports  # from_cache included
+    assert serial.cache_hits == sharded.cache_hits
+    # The memo only saves validations: every report equals a repair
+    # that consults no memo.
+    oracle = [repair_test(test, "power") for test in tests]
+    assert [_memo_free(r) for r in serial.reports] == [_memo_free(r) for r in oracle]
 
 
 def test_sharded_ilp_fence_campaign_matches_serial():
@@ -128,21 +156,15 @@ def test_sharded_ilp_fence_campaign_matches_serial():
     from repro.diy.families import shared_gap_family
 
     tests = _family() + shared_gap_family()
-    serial = repair_family(tests, "power", strategy="ilp")
+    serial = repair_family(tests, "power", strategy="ilp", chunk_size=4)
     sharded = repair_family(
         tests, "power", strategy="ilp", processes=2, chunk_size=4
     )
     assert serial.model_name == sharded.model_name
-    assert [
-        (r.test_name, r.before_verdict, r.after_verdict, r.success,
-         r.mechanisms, r.strategy, r.cost)
-        for r in serial.reports
-    ] == [
-        (r.test_name, r.before_verdict, r.after_verdict, r.success,
-         r.mechanisms, r.strategy, r.cost)
-        for r in sharded.reports
-    ]
+    assert serial.reports == sharded.reports
     assert serial.total_cost == sharded.total_cost
+    oracle = [repair_test(test, "power", strategy="ilp") for test in tests]
+    assert [_memo_free(r) for r in serial.reports] == [_memo_free(r) for r in oracle]
 
 
 def test_sharded_hardware_campaign_matches_serial():
@@ -153,6 +175,7 @@ def test_sharded_hardware_campaign_matches_serial():
         tests, chips, "power", iterations=20_000, processes=2, chunk_size=2
     )
     assert serial.results == sharded.results  # observations included, seed for seed
+    assert serial.results == _observe_each(tests, chips, "power", 20_000)
 
 
 def test_sharded_hardware_campaign_arm_errata_match_serial():
@@ -163,6 +186,7 @@ def test_sharded_hardware_campaign_arm_errata_match_serial():
         tests, chips, "power-arm", iterations=50_000, processes=2, chunk_size=1
     )
     assert serial.results == sharded.results
+    assert serial.results == _observe_each(tests, chips, "power-arm", 50_000)
 
 
 def test_sharded_hardware_campaign_custom_chip_matches_serial():
@@ -190,15 +214,21 @@ def test_sharded_hardware_campaign_custom_chip_matches_serial():
             assert pool._supervised.alive == 2  # the workers spawned
             assert pool.counters["unpicklable_payloads"] == 0
     assert serial.results == sharded.results
+    assert serial.results == _observe_each(
+        tests, [custom, chips[1]], "power", 5_000
+    )
 
 
 def test_sharded_mole_census_matches_serial():
     corpus = debian_corpus()
     serial = analyse_corpus(corpus)
     sharded = analyse_corpus(corpus, processes=2, chunk_size=2)
-    assert set(serial) == set(sharded)
-    for package in serial:
+    assert set(serial) == set(sharded) == set(corpus)
+    for package, programs in corpus.items():
         assert serial[package].cycles == sharded[package].cycles
+        assert serial[package].cycles == [
+            cycle for program in programs for cycle in find_cycles(program, 6)
+        ]
 
 
 def test_sharded_family_sweep_matches_serial():
@@ -208,6 +238,31 @@ def test_sharded_family_sweep_matches_serial():
         sharded = sweep_family(tests, model, processes=2, chunk_size=3)
         assert serial.verdicts == sharded.verdicts
         assert serial.model_name == sharded.model_name
+        simulator = Simulator(model)
+        assert serial.verdicts == tuple(
+            (test.name, simulator.verdict(test)) for test in tests
+        )
+
+
+@pytest.mark.parametrize("processes", (None, 2))
+def test_bad_arguments_fail_in_the_caller(processes):
+    """A bad model or backend raises what the single-item call raises,
+    before any job is built, whatever the worker count or policy."""
+    tests = _family()
+    quarantine = SupervisorPolicy(on_error="quarantine")
+    with pytest.raises(KeyError):
+        sweep_family(tests, "nosuchmodel", processes=processes)
+    with pytest.raises(KeyError):
+        sweep_family(tests, "nosuchmodel", processes=processes, policy=quarantine)
+    with pytest.raises(KeyError):
+        compare_models("tso", "nosuchmodel", tests=tests, processes=processes)
+    with pytest.raises(ValueError, match="symbolic"):
+        verify_batch(tests[:4], "power", backend="symbolic", processes=processes)
+    assert not [
+        child
+        for child in multiprocessing.active_children()
+        if child.name == "campaign-supervised-worker"
+    ]
 
 
 def test_sharded_family_sweep_canonicalizes_model_name():
@@ -265,6 +320,11 @@ def test_sharded_bmc_batch_matches_serial():
     items = list(all_examples())[:3] + [get_test("mp"), get_test("sb+syncs")]
     serial = verify_batch(items, "power")
     sharded = verify_batch(items, "power", processes=2, chunk_size=2)
+    checker = BoundedModelChecker("power")
+    oracle = [
+        checker.verify(item) if isinstance(item, Program) else checker.verify_litmus(item)
+        for item in items
+    ]
 
     def key(result):
         return (
@@ -278,6 +338,7 @@ def test_sharded_bmc_batch_matches_serial():
         )
 
     assert [key(r) for r in serial] == [key(r) for r in sharded]
+    assert [key(r) for r in serial] == [key(r) for r in oracle]
 
 
 # -- (b) context-cache hits == cold runs --------------------------------------------

@@ -248,10 +248,11 @@ def test_warm_session_reuses_one_pool_across_batches(family):
 
 
 def test_pooled_simulate_batch_equals_serial(family):
-    serial = [simulate(test, "power") for test in family]
+    oracle = [simulate(test, "power") for test in family]
+    serial = Session(model="power").simulate(family)
     with Session(model="power", processes=2) as session:
         pooled = session.simulate(family)
-    assert pooled == serial
+    assert pooled == serial == oracle
 
 
 def test_model_objects_shard_on_the_session_workers(family):

@@ -30,6 +30,7 @@ from repro.herd.optimal import OptimalPlan
 from repro.litmus.ast import TestBuilder
 from repro.litmus.registry import all_tests, get_test
 from repro.verification import verify_batch
+from repro.verification.bmc import BoundedModelChecker
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,6 +99,42 @@ def test_checked_executions_pickle_without_their_memo():
             assert model.check(copy) == results[name]
 
 
+@pytest.mark.parametrize(
+    "name, model", (("mp+lwsync+addr", "power"), ("mp+dmb+addr", "arm"))
+)
+def test_a_planned_check_closes_each_relation_once(name, model, monkeypatch):
+    """One ``hb`` per check, shared by NO THIN AIR, prop and OBSERVATION:
+    in the planned check of every leaf, no closure input is closed
+    twice."""
+    from repro.core import bitrel
+
+    architecture = MODELS[model].architecture
+    executions = [
+        leaf.candidate().execution
+        for context in combination_contexts(get_test(name))
+        for leaf in OptimalPlan(
+            context, variant=architecture.sc_per_location_variant
+        ).leaves()
+    ]
+    closed = []
+    closure = bitrel.closure
+
+    def counted(bits, n, col0):
+        closed.append((bits, n, col0))
+        return closure(bits, n, col0)
+
+    monkeypatch.setattr(bitrel, "closure", counted)
+    repeated = 0
+    for execution in executions:
+        closed.clear()
+        MODELS[model].check(
+            execution, stop_at_first=True, assume_sc_per_location=True
+        )
+        assert closed
+        repeated += len(closed) - len(set(closed))
+    assert repeated == 0
+
+
 def test_sharded_sc_counterexample_matches_serial():
     """A counterexample checked under ``sc`` (whose fences function is a
     lambda, a memo key) ships back from a worker intact."""
@@ -112,11 +149,12 @@ def test_sharded_sc_counterexample_matches_serial():
     items = [builder.build(), get_test("sb")]
     serial = verify_batch(items, "sc")
     sharded = verify_batch(items, "sc", processes=2, chunk_size=1)
+    oracle = [BoundedModelChecker("sc").verify_litmus(item) for item in items]
     assert not serial[0].safe and serial[1].safe
-    for left, right in zip(serial, sharded):
+    for left, right, single in zip(serial, sharded, oracle):
         assert (left.safe, left.counterexample, left.candidates_explored) == (
             right.safe, right.counterexample, right.candidates_explored
-        )
+        ) == (single.safe, single.counterexample, single.candidates_explored)
     assert sharded[0].counterexample is not None
 
 
