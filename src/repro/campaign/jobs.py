@@ -48,7 +48,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.campaign import faults as _faults
 from repro.campaign.context import ContextCache
@@ -150,6 +150,17 @@ class MoleJob:
 # -- chunk workers --------------------------------------------------------------
 
 
+def _simulator(built: Dict, model: ModelLike, engine: str = "optimal") -> Simulator:
+    """The chunk's one :class:`Simulator` for *model* and *engine*: the
+    jobs of a batch share their model objects, and pickling keeps that
+    sharing within a chunk, so a model name resolves once per chunk."""
+    key = (id(model), engine)
+    simulator = built.get(key)
+    if simulator is None:
+        simulator = built[key] = Simulator(model, engine)
+    return simulator
+
+
 def verdict_chunk(
     chunk: List[VerdictJob], payload: Any = None
 ) -> List[Tuple[str, Tuple[str, ...]]]:
@@ -159,11 +170,12 @@ def verdict_chunk(
     """
     results = []
     cache = process_context_cache()
+    built: Dict = {}
     for job in chunk:
         _faults.trip(job.test.name)
         context = cache.get(job.test)
         verdicts = tuple(
-            Simulator(model, job.engine).verdict(job.test, context=context)
+            _simulator(built, model, job.engine).verdict(job.test, context=context)
             for model in job.models
         )
         results.append((job.test.name, verdicts))
@@ -174,10 +186,11 @@ def simulate_chunk(chunk: List[SimulateJob], payload: Any = None):
     """Worker: one full :class:`SimulationResult` per job of the chunk."""
     results = []
     cache = process_context_cache()
+    built: Dict = {}
     for job in chunk:
         _faults.trip(job.test.name)
         results.append(
-            Simulator(job.model, job.engine).run(
+            _simulator(built, job.model, job.engine).run(
                 job.test,
                 keep_candidates=job.keep_candidates,
                 stop_at_first_violation=job.stop_at_first_violation,
@@ -220,11 +233,12 @@ def hardware_chunk(chunk: List[HardwareJob], payload: Any = None):
 
     results = []
     cache = process_context_cache()
+    built: Dict = {}
     for job in chunk:
         _faults.trip(job.test.name)
         results.append(
             observe_test(
-                Simulator(job.model),
+                _simulator(built, job.model),
                 job.test,
                 job.chips,
                 job.iterations,

@@ -25,9 +25,10 @@ preserved.  This module is the one fan-out layer they all share:
   under that policy — the caller's, the pool's, or
   :data:`DEFAULT_POLICY`: per-chunk deadlines, bounded retry with
   backoff, worker-death detection with automatic respawn, and
-  poison-item bisection.  A batch with one worker, no pool and no
-  policy has nothing to supervise: its chunks run in-process and a
-  job's exception reaches the caller as raised.
+  poison-item bisection; a zero-worker supervised pool runs its chunks
+  in the calling thread under the same policy.  A batch with one
+  worker, no pool and no policy has nothing to supervise: its chunks
+  run in-process and a job's exception reaches the caller as raised.
 
 ``CampaignPool`` keeps one pool alive across several batches: worker
 processes then retain their warm state (per-process context caches)
@@ -126,69 +127,6 @@ def chunked(jobs: Sequence[Any], chunk_size: int) -> List[List[Any]]:
     return [list(jobs[i : i + chunk_size]) for i in range(0, len(jobs), chunk_size)]
 
 
-def _serial_supervised(
-    run_worker: Callable,
-    make_args: Callable[[List[Any]], Tuple[Any, ...]],
-    chunks: Sequence[List[Any]],
-    counters: Dict[str, float],
-    policy: Optional[SupervisorPolicy] = None,
-):
-    """The supervised semantics without processes: capture and bisect.
-
-    Exceptions are caught at the chunk boundary and bisected down to
-    the poison item exactly as the pooled supervisor does, so a policy
-    behaves the same when a supervised batch runs in-process.
-    Crashes and hangs cannot be contained in-process — those need real
-    worker processes.  A batch ``policy.deadline`` is honoured at slice
-    boundaries: a running chunk cannot be interrupted in-process, but
-    once the deadline passes every remaining slice fails fast as a
-    ``timeout`` instead of being executed.
-    """
-    successes: List[Tuple[int, int, Any]] = []
-    failures: List[_supervisor._Failure] = []
-
-    def run_slice(chunk_index: int, offset: int, items: List[Any]) -> None:
-        if policy is not None and policy.expired():
-            _supervisor._bump(counters, "deadline_exhausted", len(items))
-            for position, item in enumerate(items):
-                failures.append(
-                    _supervisor._Failure(
-                        chunk_index=chunk_index,
-                        offset=offset + position,
-                        item=item,
-                        kind="timeout",
-                        error="batch deadline exhausted before dispatch",
-                        traceback="",
-                        attempts=1,
-                    )
-                )
-            return
-        status, value = guarded_call(run_worker, make_args(items))
-        if status == "ok":
-            successes.append((chunk_index, offset, value))
-        elif len(items) > 1:
-            _supervisor._bump(counters, "bisections")
-            middle = len(items) // 2
-            run_slice(chunk_index, offset, items[:middle])
-            run_slice(chunk_index, offset + middle, items[middle:])
-        else:
-            failures.append(
-                _supervisor._Failure(
-                    chunk_index=chunk_index,
-                    offset=offset,
-                    item=items[0],
-                    kind=value.kind,
-                    error=value.error,
-                    traceback=value.traceback,
-                    attempts=1,
-                )
-            )
-
-    for index, chunk in enumerate(chunks):
-        run_slice(index, 0, list(chunk))
-    return successes, failures
-
-
 def _run_supervised(
     run_worker: Callable,
     make_args: Callable[[List[Any]], Tuple[Any, ...]],
@@ -214,29 +152,24 @@ def _run_supervised(
             for index, chunk in enumerate(chunks)
         ]
         return successes, []
-    counters = pool.counters if pool is not None else _supervisor.new_counters()
 
-    # A single chunk only stays in-process when there is no warm pool:
-    # spawning workers for one chunk buys nothing, but with a pool
-    # already up, real workers are what make a chunk *killable* — a
-    # hang or crash in a single-chunk batch must still be contained
-    # (the verdict service counts on this for one-test requests).
-    if workers <= 1 or (pool is None and len(chunks) <= 1):
-        successes, failures = _serial_supervised(
-            run_worker, make_args, chunks, counters, policy
-        )
-    elif pool is not None:
-        successes, failures = pool.supervised().run_tasks(
+    # A warm pool's workers make even a one-chunk batch *killable* (the
+    # verdict service counts on this for one-test requests).  Without
+    # one, workers are spawned only for a batch they can split; zero
+    # workers run the chunks in this thread.
+    if pool is not None:
+        supervised = pool.supervised()
+    else:
+        spread = min(workers, len(chunks))
+        supervised = SupervisedPool(spread if spread > 1 else 0)
+    try:
+        successes, failures = supervised.run_tasks(
             run_worker, make_args, chunks, policy
         )
-    else:
-        ephemeral = SupervisedPool(min(workers, len(chunks)), counters)
-        try:
-            successes, failures = ephemeral.run_tasks(
-                run_worker, make_args, chunks, policy
-            )
-        finally:
-            ephemeral.close(policy.grace)
+    finally:
+        if pool is None:
+            supervised.close(policy.grace)
+    counters = supervised.counters
 
     failed_items: List[FailedItem] = []
     for failure in failures:
@@ -398,8 +331,9 @@ class CampaignPool:
     per-process warm state built by :mod:`repro.campaign.jobs` (per-test
     simulation contexts) carries over from one batch to the next —
     exactly what escalation loops and repeated model comparisons want.
-    With an effective worker count of one the pool runs its batches
-    in-process, still under its policy, and spawns nothing.
+    With an effective worker count of one the pool spawns nothing: its
+    batches run in the calling thread, still under its policy, and
+    :meth:`abort` stops them between chunks.
 
     ``policy`` (a :class:`~repro.campaign.supervisor.SupervisorPolicy`,
     default :data:`DEFAULT_POLICY`) is the default of every batch on
@@ -459,17 +393,21 @@ class CampaignPool:
         service's drain-window expiry) while another thread is blocked
         inside :meth:`run` — that batch fails its unfinished items as
         ``aborted`` and returns promptly, after which :meth:`close` can
-        shut the workers down without waiting out a long chunk.
+        shut the workers down without waiting out a long chunk (or, on a
+        one-worker pool, once the running chunk returns).
         """
         supervised = self._supervised
         if supervised is not None:
             supervised.abort()
 
     def supervised(self) -> SupervisedPool:
-        """This pool's supervised process group (started lazily)."""
+        """This pool's supervised process group (started lazily); a
+        one-worker pool's has zero workers and runs in this process."""
         with self._close_lock:
             if self._supervised is None:
-                self._supervised = SupervisedPool(self.workers, self.counters)
+                self._supervised = SupervisedPool(
+                    self.workers if self.workers > 1 else 0, self.counters
+                )
             return self._supervised
 
     def stats(self) -> Dict[str, float]:

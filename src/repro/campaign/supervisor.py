@@ -6,9 +6,9 @@ loses its in-flight task and the batch wedges forever; an exception
 whose instance cannot be pickled kills the pool's result machinery; a
 runaway job (an ILP branch-and-bound that never bounds) hangs the whole
 campaign.  Large hardware-testing campaigns are exactly where partial
-failure is routine, so every pooled batch of
+failure is routine, so every supervised batch of
 :mod:`repro.campaign.runner` runs under a **supervisor** between the
-chunked batch and the OS processes:
+chunked batch and the OS processes (or, on zero workers, the caller):
 
 * :class:`SupervisedPool` manages raw ``multiprocessing.Process``
   workers over duplex pipes.  The parent waits on connections *and*
@@ -512,10 +512,15 @@ class SupervisedPool:
     workers are replaced on the spot.  ``counters`` (shared with the
     owning :class:`~repro.campaign.CampaignPool` when there is one)
     accumulates every supervision event.
+
+    A pool of zero workers spawns nothing: :meth:`run_tasks` runs each
+    ready task in the calling thread, one slice per loop turn, under the
+    same retry, bisection, deadline and abort checks as a pooled task;
+    only a running slice cannot be interrupted.
     """
 
     def __init__(self, workers: int, counters: Optional[Dict[str, float]] = None):
-        self.workers = max(int(workers), 1)
+        self.workers = max(int(workers), 0)
         self.counters = counters if counters is not None else new_counters()
         if "fork" in multiprocessing.get_all_start_methods():
             self._ctx = multiprocessing.get_context("fork")
@@ -565,10 +570,11 @@ class SupervisedPool:
     def abort(self) -> None:
         """Ask a :meth:`run_tasks` loop in another thread to stop now.
 
-        The supervise loop notices within one wait quantum, kills its
-        in-flight workers, fails every unfinished item as ``aborted``
-        and returns — unblocking a thread stuck on a long batch so the
-        owner can :meth:`close`.  Safe to call with no batch running
+        The supervise loop notices within one wait quantum (on zero
+        workers, once the running slice returns), kills its in-flight
+        workers, fails every unfinished item as ``aborted`` and returns
+        — unblocking a thread stuck on a long batch so the owner can
+        :meth:`close`.  Safe to call with no batch running
         (the flag is cleared when the next batch starts).
         """
         self._abort.set()
@@ -697,20 +703,22 @@ class SupervisedPool:
 
         def encode(task: _Task) -> Optional[bytes]:
             """*task*'s message, pickled once for :meth:`Connection.send_bytes`
-            — or None after running it here, in-process: a payload that
-            does not pickle can reach no worker, so it needs none."""
+            — or None after running it here, in the calling thread: the
+            one in-process call site, for a pool of zero workers and for
+            a payload that does not pickle, which can reach no worker."""
             nonlocal warned_unpicklable
-            task_id = self._task_ids = self._task_ids + 1
             args = make_args(task.items)
-            try:
-                return ForkingPickler.dumps((task_id, run_worker, args))
-            except Exception as exc:
-                _bump(self.counters, "unpicklable_payloads")
-                if not warned_unpicklable:
-                    warned_unpicklable = True
-                    warn_unpicklable(args, exc)
-                handle_outcome(task, guarded_call(run_worker, args))
-                return None
+            if self.workers:
+                task_id = self._task_ids = self._task_ids + 1
+                try:
+                    return ForkingPickler.dumps((task_id, run_worker, args))
+                except Exception as exc:
+                    _bump(self.counters, "unpicklable_payloads")
+                    if not warned_unpicklable:
+                        warned_unpicklable = True
+                        warn_unpicklable(args, exc)
+            handle_outcome(task, guarded_call(run_worker, args))
+            return None
 
         def assign(worker: _Worker, task: _Task, message: bytes) -> None:
             try:
@@ -813,7 +821,9 @@ class SupervisedPool:
                 ]
                 # Each ready task is pickled before a worker is spawned
                 # for it: a payload that does not pickle starts none.
-                for _ in range(len(idle) + self.workers - len(self._members)):
+                # Zero workers run one ready task per turn, right here.
+                slots = len(idle) + self.workers - len(self._members)
+                for _ in range(slots if self.workers else 1):
                     ready_index = next(
                         (
                             index

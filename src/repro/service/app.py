@@ -29,18 +29,21 @@ long-lived server actually meets:
 * **Poison inputs and dying workers** — the supervised pool already
   quarantines and self-heals; the service adds a **circuit breaker** on
   top of the supervisor's own counters.  When deaths/timeouts/
-  quarantines spike, the breaker trips and batches run serially
-  in-process (degraded mode: slower, but with no workers to lose);
+  quarantines spike, the breaker trips and batches run degraded on a
+  one-worker pool in this process (slower, but with no workers to
+  lose), under the same policy and with the same failure lines;
   probe batches half-open it on a schedule and a clean probe closes it.
 * **Shutdown** — SIGTERM drains: stop admitting (new requests get
   ``503``), let in-flight work finish inside ``drain_window`` seconds,
-  then abort the running batch, kill overdue chunks and close the pool.
+  then abort the running batch, answer queued tests ``unavailable``,
+  kill overdue chunks and close the pool.
 
 Execution happens on a **single** worker thread feeding the Session —
 the Session is not thread-safe, and parallelism comes from the process
-pool inside a batch, not from concurrent batches.  The same thread
-runs admission's bounded dry run of tests given as source.  The
-asyncio loop only parses, queues, streams and supervises.
+pool inside a batch, not from concurrent batches; a degraded batch
+runs its chunks, one test each, in this thread.  The same thread runs
+admission's bounded dry run of tests given as source.  The asyncio
+loop only parses, queues, streams and supervises.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry as _telemetry
+from repro.campaign import CampaignPool
+from repro.campaign.runner import DEFAULT_CHUNK_SIZE
 from repro.litmus.ast import LitmusTest
 from repro.service.breaker import HALF_OPEN, CircuitBreaker
 from repro.service.config import ServiceConfig
@@ -167,7 +172,8 @@ class VerdictService:
         self._draining = False
         self._closed = False
         self._drain_started = False
-        self._stop_serial = False
+        #: Degraded batches run here: no workers, the session's policy.
+        self._serial_pool = CampaignPool(1, policy=session.policy)
         self._wake: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._batcher: Optional[asyncio.Task] = None
@@ -246,18 +252,9 @@ class VerdictService:
 
         overdue = bool(self._queue or self._inflight)
         if overdue:
-            # The window is blown: abort the supervised batch (the
-            # executor thread unblocks with `aborted` failures) and stop
-            # the serial path between items.
-            self._stop_serial = True
-            pool = self.session._pool
-            if pool is not None:
-                pool.abort()
-            grace_until = time.monotonic() + 5.0
-            while (self._queue or self._inflight) and time.monotonic() < grace_until:
-                if self._wake is not None:
-                    self._wake.set()
-                await asyncio.sleep(0.02)
+            # The window is blown: answer what is still queued at once,
+            # and abort the running batch, pooled or degraded (the
+            # executor thread unblocks with `aborted` failures).
             unanswered = list(self._queue)
             self._queue.clear()
             if unanswered:
@@ -271,6 +268,14 @@ class VerdictService:
                         "error": "service drained before this test ran",
                     },
                 )
+            grace_until = time.monotonic() + 5.0
+            while self._inflight and time.monotonic() < grace_until:
+                # Every turn: a batch that left the queue before the
+                # abort but starts after it clears the abort as it starts.
+                for pool in (self.session._pool, self._serial_pool):
+                    if pool is not None:
+                        pool.abort()
+                await asyncio.sleep(0.02)
 
         self._closed = True
         if self._server is not None:
@@ -514,7 +519,7 @@ class VerdictService:
             self._count("batched_items", len(group))
 
             pooled = probe = False
-            if self.session.workers > 1 and not self._stop_serial:
+            if self.session.workers > 1:
                 pooled = self.breaker.allow_pooled()
                 probe = pooled and self.breaker.state == HALF_OPEN
             if not pooled:
@@ -555,17 +560,22 @@ class VerdictService:
     # -- batch execution (single worker thread) -----------------------------------
 
     def _run_group(self, group: List[_Item], pooled: bool) -> List[Dict[str, Any]]:
-        if pooled:
-            return self._run_pooled(group)
-        return self._run_serial(group)
-
-    def _run_pooled(self, group: List[_Item]) -> List[Dict[str, Any]]:
+        """Run one batch under its earliest deadline: on the session's
+        pool, or degraded on the service's one-worker pool, one test per
+        chunk, so the deadline and an abort are checked before each."""
         session = self.session
         head = group[0]
         tests = [item.test for item in group]
         budget = min(item.deadline for item in group) - time.monotonic()
-        policy = session.policy.with_budget(budget)
+        mode = "pooled" if pooled else "serial"
         errors: List[Any] = []
+        batch = dict(
+            pool=session.pool() if pooled else self._serial_pool,
+            chunk_size=DEFAULT_CHUNK_SIZE if pooled else 1,
+            context_cache=session.context_cache,
+            policy=session.policy.with_budget(budget),
+            errors=errors,
+        )
 
         if head.kind == "repair":
             from repro.fences.campaign import repair_family
@@ -573,12 +583,9 @@ class VerdictService:
             result = repair_family(
                 tests,
                 head.models[0],
-                pool=session.pool(),
                 cache=session.cycle_cache,
-                context_cache=session.context_cache,
                 strategy=head.strategy or session.strategy,
-                policy=policy,
-                errors=errors,
+                **batch,
             )
             survivors = [(report.test_name, report) for report in result.reports]
 
@@ -586,7 +593,7 @@ class VerdictService:
                 return {
                     "test": report.test_name,
                     "status": "ok",
-                    "mode": "pooled",
+                    "mode": mode,
                     "report": report.to_dict(),
                 }
 
@@ -594,18 +601,12 @@ class VerdictService:
             from repro.compare.engine import paired_verdicts
 
             survivors = paired_verdicts(
-                tests,
-                head.models,
-                engine=session.engine,
-                pool=session.pool(),
-                context_cache=session.context_cache,
-                policy=policy,
-                errors=errors,
+                tests, head.models, engine=session.engine, **batch
             )
 
             def render(item: _Item, verdicts) -> Dict[str, Any]:
                 return self._verdict_line(
-                    item.kind, item.test.name, item.models, verdicts, "pooled"
+                    item.kind, item.test.name, item.models, verdicts, mode
                 )
 
         session.last_errors.extend(errors)
@@ -646,60 +647,6 @@ class VerdictService:
                         "status": "error",
                         "error": "no result or quarantine record for this test",
                     }
-                )
-        return outcomes
-
-    def _run_serial(self, group: List[_Item]) -> List[Dict[str, Any]]:
-        """Degraded mode: in-process, one item at a time, no workers to
-        lose.  Deadlines are enforced between items — a running item
-        cannot be interrupted in-process."""
-        outcomes: List[Dict[str, Any]] = []
-        for item in group:
-            name = item.test.name
-            if self._stop_serial:
-                outcomes.append(
-                    {
-                        "test": name,
-                        "status": "unavailable",
-                        "error": "service is shutting down",
-                    }
-                )
-                continue
-            if time.monotonic() >= item.deadline:
-                outcomes.append(
-                    {
-                        "test": name,
-                        "status": "timeout",
-                        "error": "deadline expired before execution",
-                    }
-                )
-                continue
-            try:
-                if item.kind == "repair":
-                    report = self.session.repair(
-                        item.test, model=item.models[0], strategy=item.strategy
-                    )
-                    outcomes.append(
-                        {
-                            "test": name,
-                            "status": "ok",
-                            "mode": "serial",
-                            "report": report.to_dict(),
-                        }
-                    )
-                else:
-                    verdicts = [
-                        self.session.verdict(item.test, model=model)
-                        for model in item.models
-                    ]
-                    outcomes.append(
-                        self._verdict_line(
-                            item.kind, name, item.models, verdicts, "serial"
-                        )
-                    )
-            except Exception as exc:  # noqa: BLE001 — degraded mode must answer
-                outcomes.append(
-                    {"test": name, "status": "error", "error": repr(exc)}
                 )
         return outcomes
 

@@ -6,16 +6,17 @@ retry round, or a bisection.  When incidents spike (a poisoned corpus, a
 machine under memory pressure killing workers faster than they respawn),
 continuing to shard over the pool burns the whole budget on supervision.
 The breaker watches the incident *rate* and, past a threshold, routes
-execution to the in-process serial path: slower per item, but with no
-processes to die.  After a probe interval it half-opens — one batch is
-sent back to the pool as a probe; a clean probe closes the breaker, an
-incident re-opens it.
+execution to a one-worker pool that runs every batch in the service's
+own thread, one test per chunk, under the same supervisor policy:
+slower per item, but with no processes to die.  After a probe interval
+it half-opens — one batch is sent back to the pool as a probe; a clean
+probe closes the breaker, an incident re-opens it.
 
 States follow the classic automaton: ``closed`` (pooled execution,
-counting incidents), ``open`` (serial execution, waiting out the probe
-interval), ``half-open`` (one pooled probe in flight).  The breaker is
-fed from the supervisor counters the campaign layer already keeps — it
-adds no new instrumentation to the hot path.
+counting incidents), ``open`` (in-process execution, waiting out the
+probe interval), ``half-open`` (one pooled probe in flight).  The
+breaker is fed from the supervisor counters the campaign layer already
+keeps — it adds no new instrumentation to the hot path.
 """
 
 from __future__ import annotations

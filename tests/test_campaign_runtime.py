@@ -316,6 +316,32 @@ def test_in_process_chunks_use_the_callers_context_cache():
         assert hidden.hits + hidden.misses == hidden_lookups
 
 
+def test_a_chunk_builds_one_simulator_per_model(monkeypatch):
+    # The jobs of one batch share one models tuple: a chunk resolves
+    # each model name once, not once per job.
+    from repro.campaign.jobs import VerdictJob, verdict_chunk
+    from repro.herd import simulator as simulator_module
+
+    tests = two_thread_family("power", limit=12)
+    models = ("tso", "power")
+    jobs = [VerdictJob(test, models) for test in tests]
+    expected = verdict_chunk(jobs)
+    resolved = []
+    real = simulator_module.get_architecture
+
+    def counting(name):
+        resolved.append(name)
+        return real(name)
+
+    monkeypatch.setattr(simulator_module, "get_architecture", counting)
+    assert verdict_chunk(jobs) == expected
+    assert sorted(resolved) == ["power", "tso"]
+    assert expected == [
+        (test.name, tuple(Simulator(model).verdict(test) for model in models))
+        for test in tests
+    ]
+
+
 def test_sharded_bmc_batch_matches_serial():
     items = list(all_examples())[:3] + [get_test("mp"), get_test("sb+syncs")]
     serial = verify_batch(items, "power")

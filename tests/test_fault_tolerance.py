@@ -309,6 +309,26 @@ def test_serial_fallback_applies_the_same_policy():
     assert [failure.item for failure in errors] == [repr(5)]
 
 
+def test_in_process_and_pooled_batches_share_one_policy():
+    # One executor: a one-worker pool runs its chunks in this thread
+    # under the very retry, backoff and bisection a two-worker pool
+    # applies, so the same raising item fails alike on both.
+    spec = FaultSpec("raise", repr(5), only_in_worker=False)
+    runs = []
+    for processes in (1, 2):
+        with CampaignPool(processes, policy=SupervisorPolicy(**FAST)) as pool:
+            errors: list = []
+            results = pool.run(
+                echo_chunk, JOBS, payload=spec, chunk_size=4, errors=errors
+            )
+            failed = [(error.item, error.kind, error.attempts) for error in errors]
+            counted = [pool.counters[name] for name in ("retries", "bisections")]
+            runs.append((results, failed, counted, pool.counters["quarantined"]))
+    in_process, pooled = runs
+    assert in_process == pooled
+    assert pooled[1:] == ([(repr(5), "exception", 2)], [3, 2], 1)
+
+
 # -- the pool heals and shuts down cleanly ---------------------------------------
 
 
@@ -581,6 +601,38 @@ def test_abort_fails_a_hung_batch_and_returns():
         # Every item is accounted for: a doubled result or a failure.
         answered = len(outcome["results"]) + len(errors)
         assert answered == len(JOBS)
+
+
+def test_abort_reaches_an_in_process_batch():
+    # A one-worker pool runs in the calling thread: abort() cannot cut
+    # the running chunk short, but no chunk starts after it.
+    import time
+
+    spec = FaultSpec("hang", repr(5), only_in_worker=False, hang_seconds=1.0)
+    outcome: dict = {}
+    errors: list = []
+    with CampaignPool(1) as pool:
+
+        def run():
+            outcome["results"] = pool.run(
+                echo_chunk,
+                JOBS,
+                payload=spec,
+                chunk_size=4,
+                policy=SupervisorPolicy(**FAST),
+                errors=errors,
+            )
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        time.sleep(0.3)  # inside the hung second chunk
+        pool.abort()
+        thread.join(timeout=15.0)
+        assert not thread.is_alive()
+        assert outcome["results"] == [item * 2 for item in range(8)]
+        assert [failure.item for failure in errors] == [repr(i) for i in range(8, 17)]
+        assert {failure.kind for failure in errors} == {"aborted"}
+        assert pool.counters["aborted"] == 9
 
 
 def test_pool_close_is_idempotent_with_a_dead_worker():

@@ -575,6 +575,57 @@ def test_drain_window_expiry_aborts_an_overdue_chunk():
     assert service.session._pool is None
 
 
+def test_overdue_drain_of_a_serial_service_aborts_between_tests():
+    # A serial service runs each degraded batch in its own thread, one
+    # test per chunk: the drain cannot cut the hung test short, but
+    # aborts every test after it.
+    faults.install(FaultSpec("hang", "sb", only_in_worker=False, hang_seconds=1.5))
+    config = ServiceConfig(port=0, drain_window=0.3, batch_window=0.0)
+    handle = make_service(processes=None, config=config).start()
+    service = handle.service
+    answered: list = []
+
+    def request():
+        with ServiceClient(*handle.address) as client:
+            answered.append(client.verdict(["sb", "mp", "lb", "wrc"], deadline=60.0))
+
+    thread = threading.Thread(target=request)
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while service._inflight == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+    started = time.monotonic()
+    handle.request_drain()
+    thread.join(timeout=30.0)
+    handle.join(30.0)
+    assert not thread.is_alive() and not handle._thread.is_alive()
+    assert time.monotonic() - started < 5.0
+    statuses = {line["test"]: line["status"] for line in answered[0].results}
+    assert statuses == {
+        "sb": "ok",
+        "mp": "unavailable",
+        "lb": "unavailable",
+        "wrc": "unavailable",
+    }
+
+
+@pytest.mark.parametrize("processes", (None, 2), ids=("degraded", "pooled"))
+def test_a_failing_test_reads_quarantined_in_every_mode(processes):
+    faults.install(FaultSpec("raise", "mp", only_in_worker=False))
+    config = ServiceConfig(port=0, batch_window=0.0)
+    with make_service(processes=processes, config=config) as handle:
+        with ServiceClient(*handle.address) as client:
+            response = client.verdict(["sb", "mp", "lb"], deadline=60.0)
+        assert response.ok
+        lines = {line["test"]: line for line in response.results}
+        assert lines["sb"]["status"] == lines["lb"]["status"] == "ok"
+        assert lines["mp"]["status"] == "quarantined"
+        assert lines["mp"]["error"]["kind"] == "exception"
+        mode = "serial" if processes is None else "pooled"
+        assert lines["sb"]["mode"] == mode
+
+
 # -- chaos: concurrent load, a killed worker, a poison test ----------------------
 
 
