@@ -159,9 +159,9 @@ def _chaos_stats():
                 thread.start()
 
             time.sleep(0.02)  # mid-load: murder a worker, poison a test
-            supervised = session._pool._supervised
-            if supervised is not None and supervised._members:
-                supervised._members[0].process.terminate()
+            members = session._pool._members
+            if members:
+                members[0].process.terminate()
             faults.install(FaultSpec("raise", "lb"))
 
             for thread in threads:

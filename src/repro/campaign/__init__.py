@@ -11,12 +11,14 @@ batches of independent simulate/verdict jobs over this one runtime:
   each driver makes one batch call, and the runner decides whether a
   chunk runs in a worker process or in-process, with byte-identical
   results by construction;
-* :mod:`repro.campaign.supervisor` — the fault-tolerant execution layer:
-  per-chunk deadlines, bounded retry with exponential backoff, worker
-  death detection with automatic respawn (self-healing pools), and
-  poison-item bisection with structured quarantine
+* :mod:`repro.campaign.supervisor` — the fault-tolerant execution layer,
+  one class: :class:`~repro.campaign.supervisor.CampaignPool` owns the
+  worker processes (none at one worker: it runs in the caller), one
+  counters dict, and the supervise loop — per-chunk deadlines, bounded
+  retry with exponential backoff, worker death detection with automatic
+  respawn, poison-item bisection with structured quarantine
   (:class:`~repro.campaign.supervisor.FailedItem`) under an
-  ``on_error="quarantine"|"raise"|"serial_retry"`` policy;
+  ``on_error="quarantine"|"raise"|"serial_retry"`` policy, and abort;
 * :mod:`repro.campaign.context` — per-test
   :class:`~repro.campaign.context.SimulationContext` memoization of the
   front half of the pipeline (thread paths, event interning, fixed
@@ -30,19 +32,16 @@ batches of independent simulate/verdict jobs over this one runtime:
 """
 
 from repro.campaign.context import ContextCache, SimulationContext, test_fingerprint
-from repro.campaign.runner import (
-    DEFAULT_CHUNK_SIZE,
-    CampaignPool,
-    chunked,
-    run_sharded,
-    worker_count,
-)
+from repro.campaign.runner import chunked, run_sharded
 from repro.campaign.supervisor import (
+    DEFAULT_CHUNK_SIZE,
     CampaignPicklingWarning,
+    CampaignPool,
     ErrorRing,
     FailedItem,
     PoisonItemError,
     SupervisorPolicy,
+    worker_count,
 )
 
 __all__ = [

@@ -20,54 +20,38 @@ preserved.  This module is the one fan-out layer they all share:
   very same worker runs over the very same chunks, so a batch driver
   has one path and its results do not depend on ``processes``;
 * a batch with several workers, a pool or a caller's
-  :class:`~repro.campaign.supervisor.SupervisorPolicy` runs on the
-  **supervised** execution layer (:mod:`repro.campaign.supervisor`)
-  under that policy — the caller's, the pool's, or
-  :data:`DEFAULT_POLICY`: per-chunk deadlines, bounded retry with
-  backoff, worker-death detection with automatic respawn, and
-  poison-item bisection; a zero-worker supervised pool runs its chunks
-  in the calling thread under the same policy.  A batch with one
-  worker, no pool and no policy has nothing to supervise: its chunks
+  :class:`~repro.campaign.supervisor.SupervisorPolicy` runs on a
+  :class:`~repro.campaign.supervisor.CampaignPool` — the caller's, or a
+  temporary one closed after the batch — under that policy (the
+  caller's, the pool's, or
+  :data:`~repro.campaign.supervisor.DEFAULT_POLICY`): per-chunk
+  deadlines, bounded retry with backoff, worker-death detection with
+  automatic respawn, and poison-item bisection; a one-worker pool runs
+  its chunks in the calling thread under the same policy.  A batch with
+  one worker, no pool and no policy has nothing to supervise: its chunks
   run in-process and a job's exception reaches the caller as raised.
-
-``CampaignPool`` keeps one pool alive across several batches: worker
-processes then retain their warm state (per-process context caches)
-between calls, which is what escalation-style loops want.  Pools shut
-down gracefully — ``close()``/``__exit__`` ask the workers to drain and
-only ``terminate()`` after the policy's grace period — so worker caches
-flush and in-flight telemetry snapshots are not lost.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import telemetry as _telemetry
 from repro.campaign import supervisor as _supervisor
 from repro.campaign.supervisor import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_POLICY,
+    CampaignPool,
     FailedItem,
     PoisonItemError,
-    SupervisedPool,
+    Processes,
     SupervisorPolicy,
     guarded_call,
     item_label,
+    worker_count,
 )
 from repro.telemetry.metrics import Metrics
-
-#: Default number of jobs per shard; small enough to balance uneven job
-#: costs, large enough to amortize pickling and scheduling.
-DEFAULT_CHUNK_SIZE = 8
-
-#: The policy of a multi-worker batch that names none: no deadline and
-#: no retry, so a healthy batch runs exactly as on a bare process pool,
-#: but a chunk whose worker crashes or raises is bisected down to its
-#: item and the batch raises :class:`PoisonItemError` instead of hanging.
-DEFAULT_POLICY = SupervisorPolicy(on_error="raise", max_retries=0)
-
-Processes = Union[None, int, str]
 
 
 def _instrumented_chunk(
@@ -104,22 +88,6 @@ def _instrumented_chunk(
     return outcome, registry.snapshot()
 
 
-def worker_count(processes: Processes = None) -> int:
-    """Resolve a ``processes`` argument to an effective worker count.
-
-    ``None``, ``0`` and ``1`` mean serial; ``"auto"`` means one worker
-    per CPU core (which on a single-core machine is again serial).
-    """
-    if processes in (None, 0, 1):
-        return 1
-    if processes == "auto":
-        return os.cpu_count() or 1
-    count = int(processes)  # type: ignore[arg-type]
-    if count < 0:
-        raise ValueError(f"negative worker count: {processes!r}")
-    return max(count, 1)
-
-
 def chunked(jobs: Sequence[Any], chunk_size: int) -> List[List[Any]]:
     """Split *jobs* into order-preserving chunks of at most *chunk_size*."""
     if chunk_size < 1:
@@ -127,14 +95,14 @@ def chunked(jobs: Sequence[Any], chunk_size: int) -> List[List[Any]]:
     return [list(jobs[i : i + chunk_size]) for i in range(0, len(jobs), chunk_size)]
 
 
-def _run_supervised(
+def _run_chunks(
     run_worker: Callable,
     make_args: Callable[[List[Any]], Tuple[Any, ...]],
     chunks: Sequence[List[Any]],
     policy: Optional[SupervisorPolicy],
     *,
     workers: int,
-    pool: Optional["CampaignPool"],
+    pool: Optional[CampaignPool],
     phase: str,
 ) -> Tuple[List[Tuple[int, int, Any]], List[FailedItem]]:
     """Run *chunks* under supervision and apply the error policy.
@@ -155,32 +123,30 @@ def _run_supervised(
 
     # A warm pool's workers make even a one-chunk batch *killable* (the
     # verdict service counts on this for one-test requests).  Without
-    # one, workers are spawned only for a batch they can split; zero
-    # workers run the chunks in this thread.
-    if pool is not None:
-        supervised = pool.supervised()
-    else:
-        spread = min(workers, len(chunks))
-        supervised = SupervisedPool(spread if spread > 1 else 0)
+    # one, workers are spawned only for a batch they can split; a
+    # one-worker pool runs the chunks in this thread.
+    executor = pool
+    if executor is None:
+        executor = CampaignPool(min(workers, len(chunks)), policy)
     try:
-        successes, failures = supervised.run_tasks(
-            run_worker, make_args, chunks, policy
-        )
+        successes, failures = executor.run_tasks(run_worker, make_args, chunks, policy)
     finally:
         if pool is None:
-            supervised.close(policy.grace)
-    counters = supervised.counters
+            executor.close()
+    counters = executor.counters
 
     failed_items: List[FailedItem] = []
     for failure in failures:
         attempts = failure.attempts
-        if policy.on_error == "serial_retry" and not policy.expired():
+        retry = failure.kind != "aborted" and not policy.expired()
+        if policy.on_error == "serial_retry" and retry:
             # Graceful degradation: one in-process attempt in the
             # parent.  Worker-only faults (a chunk that OOMs the worker,
             # an environment-dependent crash) heal here, preserving the
-            # sharded==serial guarantee for the retried item too.  A
-            # blown batch deadline skips the retry — re-running poison
-            # items serially is exactly how a deadline gets pinned.
+            # sharded==serial guarantee for the retried item too.  An
+            # aborted item or a blown batch deadline skips the retry —
+            # re-running those serially is how an abort is undone and a
+            # deadline gets pinned.
             _supervisor._bump(counters, "serial_retries")
             attempts += 1
             status, value = guarded_call(run_worker, make_args([failure.item]))
@@ -216,7 +182,7 @@ def run_sharded(
     processes: Processes = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     merge: Optional[Callable[[Any], None]] = None,
-    pool: Optional["CampaignPool"] = None,
+    pool: Optional[CampaignPool] = None,
     policy: Optional[SupervisorPolicy] = None,
     errors: Optional[List[FailedItem]] = None,
 ) -> List[Any]:
@@ -282,7 +248,7 @@ def run_sharded(
         def make_args(items: List[Any]) -> Tuple[Any, ...]:
             return (items, payload)
 
-    successes, failed_items = _run_supervised(
+    successes, failed_items = _run_chunks(
         run_worker,
         make_args,
         chunks,
@@ -322,117 +288,3 @@ def run_sharded(
                 min(1.0, busy_seconds / (batch_seconds * workers_used)),
             )
     return results
-
-
-class CampaignPool:
-    """A reusable worker pool for multi-batch campaigns.
-
-    The pool's processes survive between :meth:`run` calls, so the
-    per-process warm state built by :mod:`repro.campaign.jobs` (per-test
-    simulation contexts) carries over from one batch to the next —
-    exactly what escalation loops and repeated model comparisons want.
-    With an effective worker count of one the pool spawns nothing: its
-    batches run in the calling thread, still under its policy, and
-    :meth:`abort` stops them between chunks.
-
-    ``policy`` (a :class:`~repro.campaign.supervisor.SupervisorPolicy`,
-    default :data:`DEFAULT_POLICY`) is the default of every batch on
-    this pool: chunk deadlines, bounded retry, automatic respawn of
-    dead workers, poison-item quarantine or raise.
-    ``counters`` accumulates the supervision events across batches (and
-    across worker respawns) — the ``supervisor`` subtree of
-    ``Session.stats()`` reads it.
-
-    Use as a context manager::
-
-        with CampaignPool("auto") as pool:
-            first = pool.run(worker, jobs_a, payload=...)
-            second = pool.run(worker, jobs_b, payload=...)
-    """
-
-    def __init__(
-        self,
-        processes: Processes = "auto",
-        policy: Optional[SupervisorPolicy] = None,
-    ):
-        self.workers = worker_count(processes)
-        self.policy = policy if policy is not None else DEFAULT_POLICY
-        self.counters: Dict[str, float] = _supervisor.new_counters()
-        self._supervised: Optional[SupervisedPool] = None
-        self._close_lock = threading.Lock()
-
-    def __enter__(self) -> "CampaignPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self, grace: Optional[float] = None) -> None:
-        """Drain and shut down the workers, gracefully then forcefully.
-
-        Workers get *grace* seconds (default: the policy's) to finish
-        their in-flight chunk and exit; stragglers are terminated.  The
-        supervision counters survive ``close`` — a pool restarted by a
-        later batch keeps accumulating into them.
-
-        Idempotent and thread-safe: repeated or concurrent ``close``
-        calls — including after a worker has already died — tear the
-        workers down exactly once and simply return afterwards, so every
-        shutdown path (``__exit__``, a service drain, an ``atexit``
-        hook) may call it without coordinating.
-        """
-        with self._close_lock:
-            supervised, self._supervised = self._supervised, None
-        if supervised is not None:
-            supervised.close(self.policy.grace if grace is None else grace)
-
-    def abort(self) -> None:
-        """Abort the supervised batch running on this pool, if any.
-
-        Thread-safe: meant to be called from a watchdog (the verdict
-        service's drain-window expiry) while another thread is blocked
-        inside :meth:`run` — that batch fails its unfinished items as
-        ``aborted`` and returns promptly, after which :meth:`close` can
-        shut the workers down without waiting out a long chunk (or, on a
-        one-worker pool, once the running chunk returns).
-        """
-        supervised = self._supervised
-        if supervised is not None:
-            supervised.abort()
-
-    def supervised(self) -> SupervisedPool:
-        """This pool's supervised process group (started lazily); a
-        one-worker pool's has zero workers and runs in this process."""
-        with self._close_lock:
-            if self._supervised is None:
-                self._supervised = SupervisedPool(
-                    self.workers if self.workers > 1 else 0, self.counters
-                )
-            return self._supervised
-
-    def stats(self) -> Dict[str, float]:
-        """A copy of the supervision counters (zeros when never used)."""
-        return dict(self.counters)
-
-    def run(
-        self,
-        worker: Callable[[List[Any], Any], Any],
-        jobs: Sequence[Any],
-        *,
-        payload: Any = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        merge: Optional[Callable[[Any], None]] = None,
-        policy: Optional[SupervisorPolicy] = None,
-        errors: Optional[List[FailedItem]] = None,
-    ) -> List[Any]:
-        """:func:`run_sharded` on this pool's (persistent) workers."""
-        return run_sharded(
-            worker,
-            jobs,
-            payload=payload,
-            chunk_size=chunk_size,
-            merge=merge,
-            pool=self,
-            policy=policy,
-            errors=errors,
-        )

@@ -1,4 +1,4 @@
-"""Supervised campaign execution: deadlines, retries, quarantine, self-heal.
+"""Supervised campaign execution: the one pool, deadlines, retries, quarantine.
 
 A bare process pool has production-hostile failure modes: a worker
 killed by the OOM killer (or a segfault in a native extension) silently
@@ -7,14 +7,16 @@ whose instance cannot be pickled kills the pool's result machinery; a
 runaway job (an ILP branch-and-bound that never bounds) hangs the whole
 campaign.  Large hardware-testing campaigns are exactly where partial
 failure is routine, so every supervised batch of
-:mod:`repro.campaign.runner` runs under a **supervisor** between the
-chunked batch and the OS processes (or, on zero workers, the caller):
+:mod:`repro.campaign.runner` runs on one class, :class:`CampaignPool`,
+whose **supervise loop** sits between the chunked batch and the OS
+processes (or, on a one-worker pool, the calling thread):
 
-* :class:`SupervisedPool` manages raw ``multiprocessing.Process``
-  workers over duplex pipes.  The parent waits on connections *and*
-  process sentinels, so a dying worker is detected the instant the OS
-  reaps it — the task is rescheduled and a fresh worker is spawned in
-  its place (the pool **self-heals** instead of wedging).
+* The pool manages raw ``multiprocessing.Process`` workers over duplex
+  pipes, started with its first batch and kept warm across batches.
+  The parent waits on connections *and* process sentinels, so a dying
+  worker is detected the instant the OS reaps it — the task is
+  rescheduled and a fresh worker is spawned in its place (the pool
+  **self-heals** instead of wedging).
 * Every chunk attempt runs under an optional wall-clock **deadline**
   (``SupervisorPolicy.chunk_timeout``); overdue workers are killed,
   respawned, and the chunk is retried.
@@ -30,7 +32,9 @@ chunked batch and the OS processes (or, on zero workers, the caller):
   structured :class:`FailedItem` and completes the batch,
   ``"serial_retry"`` re-runs the item in-process as graceful
   degradation, ``"raise"`` raises :class:`PoisonItemError` (the
-  runner's default, with no retry and no deadline).
+  default, :data:`DEFAULT_POLICY`, with no retry and no deadline).
+* :meth:`CampaignPool.abort` fails the unfinished items of the running
+  batch (or of the next one) as ``aborted``.
 
 Every event (retry, timeout, worker death, respawn, bisection,
 quarantine, backoff seconds) is counted into the pool's plain counter
@@ -53,21 +57,24 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry as _telemetry
 from repro.report import JsonReportMixin
 
 __all__ = [
+    "DEFAULT_CHUNK_SIZE",
+    "DEFAULT_POLICY",
     "CampaignPicklingWarning",
+    "CampaignPool",
     "ErrorEnvelope",
     "ErrorRing",
     "FailedItem",
     "PoisonItemError",
-    "SupervisedPool",
     "SupervisorPolicy",
     "item_label",
     "new_counters",
+    "worker_count",
 ]
 
 
@@ -123,7 +130,8 @@ class SupervisorPolicy:
     * ``"serial_retry"`` — re-run the item in-process in the parent
       (graceful degradation: transient worker-side faults heal, and the
       surviving sharded==serial guarantee extends to the retried item);
-      if it fails again, quarantine it;
+      if it fails again, quarantine it.  Aborted items, and any item
+      once the batch deadline has passed, are not re-run;
     * ``"raise"`` — raise :class:`PoisonItemError` after the batch
       drains.
 
@@ -503,24 +511,73 @@ class _Worker:
         self.deadline: Optional[float] = None
 
 
-class SupervisedPool:
-    """Self-healing worker processes executing chunk tasks under a policy.
+#: Default number of jobs per shard; small enough to balance uneven job
+#: costs, large enough to amortize pickling and scheduling.
+DEFAULT_CHUNK_SIZE = 8
 
-    Workers persist across :meth:`run_tasks` calls (their module-level
-    warm state, a context cache, carries over, exactly like
-    :class:`repro.campaign.CampaignPool`), and dead or overdue
-    workers are replaced on the spot.  ``counters`` (shared with the
-    owning :class:`~repro.campaign.CampaignPool` when there is one)
-    accumulates every supervision event.
+#: The policy of a pool (or a multi-worker batch) that names none: no
+#: deadline and no retry, so a healthy batch runs exactly as on a bare
+#: process pool, but a chunk whose worker crashes or raises is bisected
+#: down to its item and the batch raises :class:`PoisonItemError`
+#: instead of hanging.
+DEFAULT_POLICY = SupervisorPolicy(on_error="raise", max_retries=0)
 
-    A pool of zero workers spawns nothing: :meth:`run_tasks` runs each
-    ready task in the calling thread, one slice per loop turn, under the
-    same retry, bisection, deadline and abort checks as a pooled task;
-    only a running slice cannot be interrupted.
+Processes = Union[None, int, str]
+
+
+def worker_count(processes: Processes = None) -> int:
+    """Resolve a ``processes`` argument to an effective worker count.
+
+    ``None``, ``0`` and ``1`` mean serial; ``"auto"`` means one worker
+    per CPU core (which on a single-core machine is again serial).
+    """
+    if processes in (None, 0, 1):
+        return 1
+    if processes == "auto":
+        return os.cpu_count() or 1
+    count = int(processes)  # type: ignore[arg-type]
+    if count < 0:
+        raise ValueError(f"negative worker count: {processes!r}")
+    return max(count, 1)
+
+
+class CampaignPool:
+    """The one executor of supervised batches: self-healing workers.
+
+    The pool's processes start with its first batch and survive between
+    batches, so the per-process warm state built by
+    :mod:`repro.campaign.jobs` (a context cache) carries over from one
+    batch to the next — exactly what escalation loops and repeated model
+    comparisons want.  Dead or overdue workers are replaced on the spot.
+    With an effective worker count of one the pool spawns nothing:
+    :meth:`run_tasks` runs each ready task in the calling thread, one
+    slice per loop turn, under the same retry, bisection, deadline and
+    abort checks as a pooled task; only a running slice cannot be
+    interrupted.
+
+    ``policy`` (default :data:`DEFAULT_POLICY`) is the default of every
+    batch on this pool.  ``counters`` (a :func:`new_counters` dict;
+    fresh unless given — a :class:`~repro.session.Session` hands one
+    dict to every pool it builds) accumulates the supervision events
+    across batches, worker respawns and restarts.
+
+    :meth:`abort` stops the running batch, or the next one if none
+    runs; :meth:`close` shuts the workers down, and a later batch starts
+    them again.  Use as a context manager::
+
+        with CampaignPool("auto") as pool:
+            first = pool.run(worker, jobs_a, payload=...)
+            second = pool.run(worker, jobs_b, payload=...)
     """
 
-    def __init__(self, workers: int, counters: Optional[Dict[str, float]] = None):
-        self.workers = max(int(workers), 0)
+    def __init__(
+        self,
+        processes: Processes = "auto",
+        policy: Optional[SupervisorPolicy] = None,
+        counters: Optional[Dict[str, float]] = None,
+    ):
+        self.workers = worker_count(processes)
+        self.policy = policy if policy is not None else DEFAULT_POLICY
         self.counters = counters if counters is not None else new_counters()
         if "fork" in multiprocessing.get_all_start_methods():
             self._ctx = multiprocessing.get_context("fork")
@@ -530,6 +587,12 @@ class SupervisedPool:
         self._task_ids = 0
         self._close_lock = threading.Lock()
         self._abort = threading.Event()
+
+    def __enter__(self) -> "CampaignPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- process lifecycle --------------------------------------------------------
 
@@ -568,52 +631,83 @@ class SupervisedPool:
         _bump(self.counters, "respawns")
 
     def abort(self) -> None:
-        """Ask a :meth:`run_tasks` loop in another thread to stop now.
+        """Abort the batch running on this pool, or else the next one.
 
-        The supervise loop notices within one wait quantum (on zero
-        workers, once the running slice returns), kills its in-flight
-        workers, fails every unfinished item as ``aborted`` and returns
-        — unblocking a thread stuck on a long batch so the owner can
-        :meth:`close`.  Safe to call with no batch running
-        (the flag is cleared when the next batch starts).
+        Thread-safe: meant for a watchdog (the verdict service's overdue
+        drain) while another thread is blocked inside :meth:`run`.  The
+        request stays pending until a batch acts on it or :meth:`close`
+        runs.  The supervise loop notices it within one wait quantum (in
+        this process, once the running slice returns), kills its
+        in-flight workers, fails every unfinished item as ``aborted``
+        and returns.
         """
         self._abort.set()
 
-    def close(self, grace: float = 5.0) -> None:
-        """Graceful shutdown: sentinel, bounded join, then terminate.
+    def close(self, grace: Optional[float] = None) -> None:
+        """Drain and shut down the workers, gracefully then forcefully.
 
-        Workers drain their current task and exit on the sentinel, so
-        caches flush and in-flight telemetry snapshots are not lost;
-        only workers still alive after *grace* seconds are terminated.
+        Workers get *grace* seconds (default: the policy's) to finish
+        their in-flight chunk and exit on the sentinel, so caches flush
+        and in-flight telemetry snapshots are not lost; stragglers are
+        terminated.  A pending :meth:`abort` is dropped, the counters
+        are kept, and a later batch starts the workers again.
+
         Idempotent and thread-safe: repeated or concurrent ``close``
-        calls (including with members already dead) are no-ops beyond
-        the first — each worker is torn down exactly once.
+        calls — including after a worker has already died — tear each
+        worker down exactly once, so every shutdown path (``__exit__``,
+        a service drain, an ``atexit`` hook) may call it without
+        coordinating.
         """
         with self._close_lock:
             members, self._members = self._members, []
+            # A batch still running keeps (and acts on) the flag it
+            # started with; the next batch starts with a fresh one.
+            self._abort = threading.Event()
         for worker in members:
             try:
                 worker.conn.send(None)
             except Exception:
                 pass
-        deadline = time.monotonic() + max(grace, 0.0)
+        deadline = time.monotonic() + max(
+            self.policy.grace if grace is None else grace, 0.0
+        )
         for worker in members:
             worker.process.join(max(deadline - time.monotonic(), 0.0))
         for worker in members:
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(1.0)
-                if worker.process.is_alive():  # pragma: no cover
-                    worker.process.kill()
-                    worker.process.join(1.0)
-            try:
-                worker.conn.close()
-            except Exception:
-                pass
+            self._discard(worker)
 
     @property
     def alive(self) -> int:
         return sum(1 for worker in self._members if worker.process.is_alive())
+
+    def stats(self) -> Dict[str, float]:
+        """A copy of the supervision counters (zeros when never used)."""
+        return dict(self.counters)
+
+    def run(
+        self,
+        worker: Callable[[List[Any], Any], Any],
+        jobs: Sequence[Any],
+        *,
+        payload: Any = None,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        merge: Optional[Callable[[Any], None]] = None,
+        policy: Optional[SupervisorPolicy] = None,
+        errors: Optional[List[FailedItem]] = None,
+    ) -> List[Any]:
+        """:func:`~repro.campaign.runner.run_sharded` on this pool."""
+        from repro.campaign.runner import run_sharded
+
+        return run_sharded(
+            worker,
+            jobs,
+            payload=payload,
+            chunk_size=chunk_size,
+            merge=merge,
+            pool=self,
+            policy=policy,
+            errors=errors,
+        )
 
     # -- the supervise loop -------------------------------------------------------
 
@@ -631,9 +725,9 @@ class SupervisedPool:
         (possibly bisected) slice, ``failures`` one :class:`_Failure`
         per poison item that exhausted its retries.  Policy application
         (quarantine / serial retry / raise) is the caller's job — this
-        loop only isolates.
+        loop only isolates.  A pending :meth:`abort` aborts this batch.
         """
-        self._abort.clear()
+        abort = self._abort
         pending: List[_Task] = [
             _Task(index, 0, list(chunk)) for index, chunk in enumerate(chunks)
         ]
@@ -704,11 +798,11 @@ class SupervisedPool:
         def encode(task: _Task) -> Optional[bytes]:
             """*task*'s message, pickled once for :meth:`Connection.send_bytes`
             — or None after running it here, in the calling thread: the
-            one in-process call site, for a pool of zero workers and for
-            a payload that does not pickle, which can reach no worker."""
+            one in-process call site, for a one-worker pool and for a
+            payload that does not pickle, which can reach no worker."""
             nonlocal warned_unpicklable
             args = make_args(task.items)
-            if self.workers:
+            if self.workers > 1:
                 task_id = self._task_ids = self._task_ids + 1
                 try:
                     return ForkingPickler.dumps((task_id, run_worker, args))
@@ -766,26 +860,16 @@ class SupervisedPool:
         while pending or in_flight:
             now = time.monotonic()
             # -- abort: another thread asked this batch to stop now -----------
-            if self._abort.is_set():
-                aborted = sum(len(task.items) for task in pending) + sum(
-                    len(worker.task.items)
-                    for worker in in_flight.values()
-                    if worker.task is not None
-                )
-                _bump(self.counters, "aborted", aborted)
-                for worker in list(in_flight.values()):
-                    task = worker.task
-                    in_flight.pop(id(worker), None)
+            if abort.is_set():
+                abort.clear()
+                for worker in in_flight.values():
                     self._discard(worker)
-                    if task is not None:
-                        record_terminal(
-                            task, "aborted", "batch aborted by pool shutdown", ""
-                        )
-                for task in pending:
+                stopped = [worker.task for worker in in_flight.values()] + pending
+                _bump(self.counters, "aborted", sum(len(task.items) for task in stopped))
+                for task in stopped:
                     record_terminal(
                         task, "aborted", "batch aborted by pool shutdown", ""
                     )
-                pending.clear()
                 break
             # -- batch deadline: fail undispatched work fast ------------------
             if policy.deadline is not None and now >= policy.deadline and pending:
@@ -821,9 +905,10 @@ class SupervisedPool:
                 ]
                 # Each ready task is pickled before a worker is spawned
                 # for it: a payload that does not pickle starts none.
-                # Zero workers run one ready task per turn, right here.
+                # A one-worker pool (no members, one slot) runs one ready
+                # task per turn, right here.
                 slots = len(idle) + self.workers - len(self._members)
-                for _ in range(slots if self.workers else 1):
+                for _ in range(slots):
                     ready_index = next(
                         (
                             index

@@ -170,12 +170,6 @@ class Event:
     def is_write(self) -> bool:
         return self.action.is_write()
 
-    def is_register_read(self) -> bool:
-        return isinstance(self.action, RegisterRead)
-
-    def is_register_write(self) -> bool:
-        return isinstance(self.action, RegisterWrite)
-
     def is_branch(self) -> bool:
         return self.action.is_branch()
 

@@ -286,18 +286,6 @@ class Execution:
     def restrict_rw(self, relation: Relation) -> Relation:
         return relation.restrict(self.reads, self.writes)
 
-    def restrict_rm(self, relation: Relation) -> Relation:
-        return relation.restrict(self.reads, self.memory_events)
-
-    def restrict_wm(self, relation: Relation) -> Relation:
-        return relation.restrict(self.writes, self.memory_events)
-
-    def restrict_mw(self, relation: Relation) -> Relation:
-        return relation.restrict(self.memory_events, self.writes)
-
-    def restrict_mr(self, relation: Relation) -> Relation:
-        return relation.restrict(self.memory_events, self.reads)
-
     # -- fences --------------------------------------------------------------------
 
     def fence(self, *names: str) -> Relation:
@@ -328,10 +316,6 @@ class Execution:
             value = maximal[0].value
             result[location] = value if value is not None else 0
         return result
-
-    def read_values(self) -> Dict[Event, int]:
-        """Read event -> value it observed."""
-        return {r: r.value for r in self.reads if r.value is not None}
 
     def describe(self) -> str:
         """Human-readable multi-line description (used by examples and docs)."""

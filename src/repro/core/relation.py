@@ -383,9 +383,6 @@ class Relation:
             cache["cycle"] = cached
         return list(cached) if cached is not None else None
 
-    def is_transitive(self) -> bool:
-        return self.transitive_closure() == self
-
     def is_total_over(self, events: Iterable["Event"]) -> bool:
         """True iff the relation totally orders *events* (a strict total order)."""
         events = list(events)

@@ -174,12 +174,6 @@ class FamilySweep(JsonReportMixin):
     def num_forbidden(self) -> int:
         return self.num_tests - self.num_allowed
 
-    def verdict_of(self, name: str) -> str:
-        for test_name, verdict in self.verdicts:
-            if test_name == name:
-                return verdict
-        raise KeyError(f"no test named {name!r} in this sweep")
-
     def describe(self) -> str:
         quarantined = f", {len(self.errors)} quarantined" if self.errors else ""
         return (

@@ -31,6 +31,7 @@ from repro.core.axioms import (
 from repro.core.model import Model
 from repro.hardware.chips import SimulatedChip
 from repro.herd.enumerate import candidate_executions
+from repro.herd.optimal import outcome_satisfies
 from repro.herd.simulator import Simulator
 from repro.litmus.ast import LitmusTest
 from repro.report import JsonReportMixin, outcome_key
@@ -69,7 +70,7 @@ class ObservedTest(JsonReportMixin):
         total = 0
         for per_chip in self.observed_outcomes.values():
             for outcome, count in per_chip.items():
-                if _outcome_matches_condition(self.test, outcome):
+                if outcome_satisfies(self.test.condition, outcome):
                     total += count
         return total
 
@@ -158,16 +159,6 @@ class CampaignReport(JsonReportMixin):
         }
 
 
-def _outcome_matches_condition(test: LitmusTest, outcome: Outcome) -> bool:
-    assert test.condition is not None
-    observed = dict(outcome)
-    return all(
-        observed.get(f"{atom.thread}:{atom.name}" if atom.kind == "reg" else atom.name)
-        == atom.value
-        for atom in test.condition.atoms
-    )
-
-
 def observe_test(
     simulator: Simulator,
     test: LitmusTest,
@@ -200,7 +191,7 @@ def observe_test(
             test, iterations=iterations, rng=chip_rng, context=context
         )
         observed[chip.name] = counts
-        if any(_outcome_matches_condition(test, outcome) for outcome in counts):
+        if any(outcome_satisfies(test.condition, outcome) for outcome in counts):
             target_observed = True
     return ObservedTest(
         test=test,

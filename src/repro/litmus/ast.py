@@ -89,14 +89,6 @@ class Condition:
         if self.kind not in ("exists", "not exists", "forall"):
             raise ValueError(f"unknown condition kind {self.kind!r}")
 
-    def outcome_matches(
-        self,
-        final_registers: Mapping[RegisterKey, RegisterValue],
-        final_memory: Mapping[str, int],
-    ) -> bool:
-        """Does one execution's final state satisfy the conjunction of atoms?"""
-        return all(atom.holds(final_registers, final_memory) for atom in self.atoms)
-
     def verdict(self, any_outcome_matches: bool, all_outcomes_match: bool) -> bool:
         """Truth value of the whole condition given the two quantified facts."""
         if self.kind == "exists":
@@ -250,10 +242,6 @@ class ThreadBuilder:
         self.emit(Add(total, zero, immediate))
         self.emit(Store(total, self.address_register(location)))
         self._test.register_value(value)
-
-    def store_loaded_value(self, location: str, dep_on: str) -> None:
-        """Store the value previously loaded into *dep_on* (a true data dependency)."""
-        self.emit(Store(dep_on, self.address_register(location)))
 
     def ctrl_dep(self, dep_on: str, cfence: Optional[str] = None) -> None:
         """A control dependency on *dep_on* guarding everything emitted after.

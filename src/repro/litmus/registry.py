@@ -629,11 +629,3 @@ def get_test(name: str) -> LitmusTest:
 def all_tests() -> List[LitmusTest]:
     return [entry.build() for entry in entries()]
 
-
-def expectations_for(model_name: str) -> Dict[str, str]:
-    """Map test name -> expected verdict under the given model."""
-    return {
-        entry.name: entry.expectations[model_name]
-        for entry in entries()
-        if model_name in entry.expectations
-    }

@@ -32,7 +32,7 @@ from repro.core.events import Event
 from repro.core.execution import Execution
 from repro.core.model import Architecture, CheckResult
 from repro.core.relation import Relation
-from repro.herd.optimal import surviving_candidates
+from repro.herd.optimal import outcome_satisfies, surviving_candidates
 from repro.litmus.ast import LitmusTest
 
 
@@ -269,16 +269,6 @@ class MultiEventSimulator:
                 stop_at_first=True,
                 assume_sc_per_location=True,
             )
-            if not result.allowed:
-                continue
-            observed = dict(outcome)
-            matches = all(
-                observed.get(
-                    f"{atom.thread}:{atom.name}" if atom.kind == "reg" else atom.name
-                )
-                == atom.value
-                for atom in test.condition.atoms
-            )
-            if matches:
+            if result.allowed and outcome_satisfies(test.condition, outcome):
                 return "Allow"
         return "Forbid"

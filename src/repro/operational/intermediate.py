@@ -52,6 +52,7 @@ from repro.core.execution import Execution
 from repro.core.model import Architecture
 from repro.core.relation import Relation
 from repro.herd.enumerate import candidate_executions
+from repro.herd.optimal import outcome_satisfies
 from repro.litmus.ast import LitmusTest
 
 
@@ -292,16 +293,8 @@ class OperationalSimulator:
         """Allow/Forbid verdict for the test's target outcome."""
         assert test.condition is not None, "litmus tests carry a final condition"
         for candidate in candidate_executions(test):
-            if not self.machine.accepts(candidate.execution):
-                continue
-            outcome = dict(candidate.outcome(test))
-            matches = all(
-                outcome.get(
-                    f"{atom.thread}:{atom.name}" if atom.kind == "reg" else atom.name
-                )
-                == atom.value
-                for atom in test.condition.atoms
-            )
-            if matches:
+            if self.machine.accepts(candidate.execution) and outcome_satisfies(
+                test.condition, candidate.outcome(test)
+            ):
                 return "Allow"
         return "Forbid"

@@ -31,12 +31,15 @@ long-lived server actually meets:
   top of the supervisor's own counters.  When deaths/timeouts/
   quarantines spike, the breaker trips and batches run degraded on a
   one-worker pool in this process (slower, but with no workers to
-  lose), under the same policy and with the same failure lines;
-  probe batches half-open it on a schedule and a clean probe closes it.
+  lose), under the same policy, into the same session counters and
+  with the same failure lines; probe batches half-open it on a
+  schedule and a clean probe closes it.
 * **Shutdown** — SIGTERM drains: stop admitting (new requests get
   ``503``), let in-flight work finish inside ``drain_window`` seconds,
-  then abort the running batch, answer queued tests ``unavailable``,
-  kill overdue chunks and close the pool.
+  then answer queued tests ``unavailable``, abort both pools once (the
+  abort waits on each pool for its next batch, so a batch that has left
+  the queue but not yet reached its pool is aborted too), kill overdue
+  chunks and close the pool.
 
 Execution happens on a **single** worker thread feeding the Session —
 the Session is not thread-safe, and parallelism comes from the process
@@ -172,8 +175,11 @@ class VerdictService:
         self._draining = False
         self._closed = False
         self._drain_started = False
-        #: Degraded batches run here: no workers, the session's policy.
-        self._serial_pool = CampaignPool(1, policy=session.policy)
+        #: Degraded batches run here: no workers, the session's policy
+        #: and counters.
+        self._serial_pool = CampaignPool(
+            1, policy=session.policy, counters=session.supervisor_counters
+        )
         self._wake: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._batcher: Optional[asyncio.Task] = None
@@ -205,14 +211,9 @@ class VerdictService:
 
     def _supervisor_signal(self) -> float:
         """Lifetime supervisor incidents: the breaker's input signal."""
-        totals = dict(self.session._supervisor_history)
-        pool = self.session._pool
-        if pool is not None:
-            for name, value in pool.counters.items():
-                totals[name] = totals.get(name, 0) + value
+        counters = self.session.supervisor_counters
         return sum(
-            totals.get(name, 0)
-            for name in ("worker_deaths", "timeouts", "quarantined")
+            counters[name] for name in ("worker_deaths", "timeouts", "quarantined")
         )
 
     # -- lifecycle ----------------------------------------------------------------
@@ -253,8 +254,9 @@ class VerdictService:
         overdue = bool(self._queue or self._inflight)
         if overdue:
             # The window is blown: answer what is still queued at once,
-            # and abort the running batch, pooled or degraded (the
-            # executor thread unblocks with `aborted` failures).
+            # and abort the batch in flight, pooled or degraded, whether
+            # or not it has reached its pool yet (the executor thread
+            # unblocks with `aborted` failures).
             unanswered = list(self._queue)
             self._queue.clear()
             if unanswered:
@@ -268,13 +270,11 @@ class VerdictService:
                         "error": "service drained before this test ran",
                     },
                 )
+            for pool in (self.session._pool, self._serial_pool):
+                if pool is not None:
+                    pool.abort()
             grace_until = time.monotonic() + 5.0
             while self._inflight and time.monotonic() < grace_until:
-                # Every turn: a batch that left the queue before the
-                # abort but starts after it clears the abort as it starts.
-                for pool in (self.session._pool, self._serial_pool):
-                    if pool is not None:
-                        pool.abort()
                 await asyncio.sleep(0.02)
 
         self._closed = True
@@ -522,7 +522,11 @@ class VerdictService:
             if self.session.workers > 1:
                 pooled = self.breaker.allow_pooled()
                 probe = pooled and self.breaker.state == HALF_OPEN
-            if not pooled:
+            if pooled:
+                # Built here, on the loop, so a drain can abort the batch
+                # before it reaches the pool.
+                self.session.pool()
+            else:
                 self._count("degraded_batches")
             if probe:
                 self._count("probe_batches")

@@ -165,7 +165,10 @@ class Session:
         #: bounded to the newest ``error_ring`` records (lifetime drops
         #: show up as ``stats()["supervisor"]["errors_dropped"]``).
         self.last_errors: ErrorRing = ErrorRing(error_ring)
-        self._supervisor_history = _supervisor.new_counters()
+        #: the supervision counters of every pool this session builds
+        #: (the verdict service's degraded pool included): one dict,
+        #: kept across pool restarts — ``stats()["supervisor"]``.
+        self.supervisor_counters = _supervisor.new_counters()
         self.context_cache = ContextCache(capacity=cache_size, ttl=cache_ttl)
         self._model_stats = CacheStats("model", entries=lambda: len(self._models))
         self._cycle_stats = CacheStats("cycle", entries=lambda: len(self.cycle_cache))
@@ -195,19 +198,13 @@ class Session:
         self.close()
 
     def close(self, grace: Optional[float] = None) -> None:
-        """Shut the campaign pool down (the caches survive; a later
-        batch verb restarts the pool lazily) and uninstall this
-        session's telemetry registry if it is the active one.  The
-        pool's supervision counters are folded into the session history
-        first, so ``stats()["supervisor"]`` survives pool restarts.
-        ``grace`` overrides the policy's shutdown grace period — a
-        draining service passes a small one so an overdue chunk is
-        killed instead of waited out.  Idempotent."""
+        """Shut the campaign pool down (the caches and the supervision
+        counters survive; a later batch verb restarts the pool lazily)
+        and uninstall this session's telemetry registry if it is the
+        active one.  ``grace`` overrides the policy's shutdown grace
+        period — a draining service passes a small one so an overdue
+        chunk is killed instead of waited out.  Idempotent."""
         if self._pool is not None:
-            for name, value in self._pool.counters.items():
-                self._supervisor_history[name] = (
-                    self._supervisor_history.get(name, 0) + value
-                )
             self._pool.close(grace)
             self._pool = None
         self.disable_telemetry()
@@ -323,7 +320,9 @@ class Session:
         if self.workers <= 1:
             return None
         if self._pool is None:
-            self._pool = CampaignPool(self.processes, policy=self.policy)
+            self._pool = CampaignPool(
+                self.processes, policy=self.policy, counters=self.supervisor_counters
+            )
         return self._pool
 
     def _fresh_errors(self) -> ErrorRing:
@@ -347,6 +346,10 @@ class Session:
           gauges, histogram summaries, span count), or ``None`` when
           telemetry was never enabled.  After a sharded campaign this
           includes the merged worker-side counters.
+
+        ``supervisor["counters"]`` is :attr:`supervisor_counters`: the
+        one dict every pool of the session counts into, over pool
+        restarts and the verdict service's degraded batches alike.
         """
         import sys
 
@@ -370,11 +373,6 @@ class Session:
             snapshot = self._telemetry.snapshot()
             telemetry_tree = snapshot.to_dict()
 
-        supervisor_counters = dict(self._supervisor_history)
-        if self._pool is not None:
-            for name, value in self._pool.counters.items():
-                supervisor_counters[name] += value
-
         return {
             "model_cache": {
                 "entries": len(self._models),
@@ -393,7 +391,7 @@ class Session:
             "caches": caches,
             "supervisor": {
                 "policy": self.policy.as_dict(),
-                "counters": supervisor_counters,
+                "counters": dict(self.supervisor_counters),
                 "last_errors": len(self.last_errors),
                 "errors_dropped": self.last_errors.dropped,
             },
@@ -488,7 +486,6 @@ class Session:
         return sweep_family(
             batch,
             self.resolve(model),
-            processes=self.processes,
             engine=self.engine if engine is None else engine,
             context_cache=self.context_cache,
             pool=self.pool(),
@@ -524,7 +521,6 @@ class Session:
             budget=budget,
             tests=tests,
             engine=self.engine if engine is None else engine,
-            processes=self.processes,
             pool=self.pool(),
             context_cache=self.context_cache,
             errors=self._fresh_errors(),
@@ -562,7 +558,6 @@ class Session:
         result = repair_family(
             list(tests),
             self.resolve(model),
-            processes=self.processes,
             cache=self.cycle_cache,
             context_cache=self.context_cache,
             pool=self.pool(),
@@ -628,7 +623,6 @@ class Session:
             self.resolve(model),
             iterations=iterations,
             seed=seed,
-            processes=self.processes,
             context_cache=self.context_cache,
             pool=self.pool(),
             errors=self._fresh_errors(),
@@ -667,7 +661,6 @@ class Session:
             return analyse_corpus(
                 programs,
                 max_cycle_length,
-                processes=self.processes,
                 pool=self.pool(),
                 errors=self._fresh_errors(),
             )
@@ -711,7 +704,6 @@ class Session:
             list(items),
             self.resolve(model),
             backend=backend,
-            processes=self.processes,
             pool=self.pool(),
             errors=self._fresh_errors(),
         )

@@ -51,7 +51,7 @@ from repro.herd.enumerate import (
     candidates_of_combination,
     combination_context,
 )
-from repro.herd.optimal import _VARIANTS, OptimalPlan, plans
+from repro.herd.optimal import _VARIANTS, OptimalPlan, outcome_satisfies, plans
 from repro.herd.simulator import ModelLike, resolve_model
 from repro.litmus.ast import LitmusTest
 from repro.multi_event import MultiEventModel
@@ -247,14 +247,7 @@ class BoundedModelChecker:
                 if not self._allows(candidate.execution):
                     continue
                 allowed += 1
-                outcome = dict(candidate.outcome(test))
-                matches = all(
-                    outcome.get(
-                        f"{atom.thread}:{atom.name}" if atom.kind == "reg" else atom.name
-                    )
-                    == atom.value
-                    for atom in test.condition.atoms
-                )
+                matches = outcome_satisfies(test.condition, candidate.outcome(test))
                 if matches and counterexample is None:
                     counterexample = candidate
             return self._litmus_result(
@@ -263,15 +256,7 @@ class BoundedModelChecker:
         for plan in plans(test, self._prune_variant):
             for leaf in plan.leaves():
                 candidates_explored += 1
-                observed = dict(leaf.outcome)
-                matches = all(
-                    observed.get(
-                        f"{atom.thread}:{atom.name}" if atom.kind == "reg" else atom.name
-                    )
-                    == atom.value
-                    for atom in test.condition.atoms
-                )
-                if not matches:
+                if not outcome_satisfies(test.condition, leaf.outcome):
                     continue  # cannot witness the query; never decided
                 candidate = leaf.candidate()
                 if not self._allows(candidate.execution):

@@ -211,7 +211,7 @@ def test_sharded_hardware_campaign_custom_chip_matches_serial():
                 tests, [custom, chips[1]], "power", iterations=5_000,
                 pool=pool, chunk_size=1,
             )
-            assert pool._supervised.alive == 2  # the workers spawned
+            assert pool.alive == 2  # the workers spawned
             assert pool.counters["unpicklable_payloads"] == 0
     assert serial.results == sharded.results
     assert serial.results == _observe_each(

@@ -360,15 +360,14 @@ def test_worker_killed_while_idle_is_replaced_and_counted():
     # pool silently loses capacity forever.
     with CampaignPool(2, policy=SupervisorPolicy(**FAST)) as pool:
         assert pool.run(echo_chunk, JOBS, chunk_size=4) == SERIAL
-        supervised = pool._supervised
-        victim = supervised._members[0]
+        victim = pool._members[0]
         victim.process.terminate()
         victim.process.join(5.0)
         assert pool.run(echo_chunk, JOBS, chunk_size=4) == SERIAL
         stats = pool.stats()
         assert stats["worker_deaths"] == 1
         assert stats["respawns"] == 1
-        assert supervised.alive == 2
+        assert pool.alive == 2
 
 
 def test_close_leaves_no_worker_processes_behind():
@@ -483,11 +482,17 @@ def test_session_counters_survive_pool_restarts(family):
     faults.install(FaultSpec("raise", family[1].name))
     with Session(model="power", processes=2, max_retries=0, retry_backoff=0.01) as session:
         session.sweep(family)
-        session.close()  # folds pool counters into the session history
+        session.close()  # the pool goes, the session's counters stay
         faults.uninstall()
         session.sweep(family)  # clean run on a fresh lazily-started pool
         counters = session.stats()["supervisor"]["counters"]
         assert counters["quarantined"] == 1
+        # A restarted pool counts into the same dict.
+        assert session._pool.counters is session.supervisor_counters
+        faults.install(FaultSpec("raise", family[1].name))
+        session.close()
+        session.sweep(family)
+        assert session.stats()["supervisor"]["counters"]["quarantined"] == 2
 
 
 def test_driver_level_errors_ride_the_report_types(family, serial_sweep):
@@ -635,17 +640,62 @@ def test_abort_reaches_an_in_process_batch():
         assert pool.counters["aborted"] == 9
 
 
+@pytest.mark.parametrize("processes", (1, 2))
+def test_an_abort_made_between_batches_aborts_the_next_one(processes):
+    # The request waits on the pool for a batch to act on it; that
+    # batch fails whole and the one after it runs clean.
+    with CampaignPool(processes) as pool:
+        pool.abort()
+        errors: list = []
+        results = pool.run(
+            echo_chunk,
+            JOBS,
+            chunk_size=4,
+            policy=SupervisorPolicy(**FAST),
+            errors=errors,
+        )
+        assert results == []
+        assert [failure.kind for failure in errors] == ["aborted"] * len(JOBS)
+        assert pool.counters["aborted"] == len(JOBS)
+        assert pool.run(echo_chunk, JOBS, chunk_size=4) == SERIAL
+
+
+@pytest.mark.parametrize("processes", (1, 2))
+def test_serial_retry_leaves_aborted_items_aborted(processes):
+    policy = SupervisorPolicy(on_error="serial_retry", **FAST)
+    with CampaignPool(processes, policy=policy) as pool:
+        pool.abort()
+        errors: list = []
+        assert pool.run(echo_chunk, JOBS, chunk_size=4, errors=errors) == []
+        assert [failure.kind for failure in errors] == ["aborted"] * len(JOBS)
+        assert pool.counters["serial_retries"] == 0
+
+
+@pytest.mark.parametrize("processes", (1, 2))
+def test_close_drops_a_pending_abort_and_keeps_the_counters(processes):
+    with CampaignPool(processes, policy=SupervisorPolicy(**FAST)) as pool:
+        spec = FaultSpec("raise", repr(5), only_in_worker=False)
+        pool.run(echo_chunk, JOBS, payload=spec, chunk_size=4)
+        pool.abort()
+        pool.close()
+        # The pool starts again, unaborted, and counts on.
+        assert pool.run(echo_chunk, JOBS, payload=spec, chunk_size=4) == [
+            item * 2 for item in JOBS if item != 5
+        ]
+        assert pool.counters["quarantined"] == 2
+        assert pool.counters["aborted"] == 0
+
+
 def test_pool_close_is_idempotent_with_a_dead_worker():
     pool = CampaignPool(2)
     policy = SupervisorPolicy(on_error="quarantine", **FAST)
     assert run_sharded(echo_chunk, JOBS, chunk_size=4, pool=pool, policy=policy) == SERIAL
-    supervised = pool._supervised
-    assert supervised is not None
-    supervised._members[0].process.terminate()
-    supervised._members[0].process.join(5.0)
+    assert pool._members
+    pool._members[0].process.terminate()
+    pool._members[0].process.join(5.0)
     pool.close(grace=0.5)
     pool.close(grace=0.5)  # double close: a no-op, not an error
-    assert pool._supervised is None
+    assert pool._members == [] and pool.alive == 0
 
 
 def test_pool_concurrent_close_tears_down_exactly_once():
@@ -661,7 +711,7 @@ def test_pool_concurrent_close_tears_down_exactly_once():
         thread.start()
     for thread in threads:
         thread.join(timeout=10.0)
-    assert pool._supervised is None
+    assert pool._members == [] and pool.alive == 0
 
 
 def test_error_ring_bounds_records_and_counts_drops():

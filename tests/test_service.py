@@ -611,12 +611,52 @@ def test_overdue_drain_of_a_serial_service_aborts_between_tests():
 
 
 @pytest.mark.parametrize("processes", (None, 2), ids=("degraded", "pooled"))
+def test_an_overdue_drain_aborts_a_batch_that_has_not_reached_its_pool(processes):
+    # The batch leaves the queue, then takes 0.6 s to reach its pool;
+    # the drain window closes at 0.3 s.  The abort waits on the pool,
+    # so the batch fails whole instead of running into the hang.
+    faults.install(FaultSpec("hang", "mp", only_in_worker=False, hang_seconds=1.5))
+    config = ServiceConfig(port=0, drain_window=0.3, batch_window=0.0)
+    handle = make_service(processes=processes, config=config).start()
+    service = handle.service
+    original = service._run_group
+
+    def late_run_group(group, pooled):
+        time.sleep(0.6)
+        return original(group, pooled)
+
+    service._run_group = late_run_group
+    answered: list = []
+
+    def request():
+        with ServiceClient(*handle.address) as client:
+            answered.append(client.verdict(["sb", "mp", "lb", "wrc"], deadline=60.0))
+
+    thread = threading.Thread(target=request)
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while service._inflight == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+    started = time.monotonic()
+    handle.request_drain()
+    thread.join(timeout=30.0)
+    handle.join(30.0)
+    elapsed = time.monotonic() - started
+    assert not thread.is_alive() and not handle._thread.is_alive()
+    statuses = {line["test"]: line["status"] for line in answered[0].results}
+    assert statuses == dict.fromkeys(("sb", "mp", "lb", "wrc"), "unavailable")
+    assert elapsed < 1.2, f"the drain took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("processes", (None, 2), ids=("degraded", "pooled"))
 def test_a_failing_test_reads_quarantined_in_every_mode(processes):
     faults.install(FaultSpec("raise", "mp", only_in_worker=False))
     config = ServiceConfig(port=0, batch_window=0.0)
     with make_service(processes=processes, config=config) as handle:
         with ServiceClient(*handle.address) as client:
             response = client.verdict(["sb", "mp", "lb"], deadline=60.0)
+            supervisor = client.stats()["session"]["supervisor"]
         assert response.ok
         lines = {line["test"]: line for line in response.results}
         assert lines["sb"]["status"] == lines["lb"]["status"] == "ok"
@@ -624,6 +664,7 @@ def test_a_failing_test_reads_quarantined_in_every_mode(processes):
         assert lines["mp"]["error"]["kind"] == "exception"
         mode = "serial" if processes is None else "pooled"
         assert lines["sb"]["mode"] == mode
+        assert supervisor["counters"]["quarantined"] == 1
 
 
 # -- chaos: concurrent load, a killed worker, a poison test ----------------------
@@ -655,9 +696,9 @@ def test_chaos_every_well_formed_request_is_answered():
 
         # Mid-load: murder a pool worker and poison one test.
         time.sleep(0.1)
-        supervised = service.session._pool._supervised
-        if supervised is not None and supervised._members:
-            supervised._members[0].process.terminate()
+        members = service.session._pool._members
+        if members:
+            members[0].process.terminate()
         faults.install(FaultSpec("raise", "lb"))
 
         for thread in threads:

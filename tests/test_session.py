@@ -232,13 +232,13 @@ def test_warm_session_reuses_one_pool_across_batches(family):
         first = session.sweep(family)
         pool = session._pool
         assert pool is not None and pool.workers == 2
-        pids = [worker.process.pid for worker in pool._supervised._members]
+        pids = [worker.process.pid for worker in pool._members]
         assert len(pids) == 2
         second = session.sweep(family, model="arm")
         repaired = session.repair(family[:4])
         assert session._pool is pool          # same CampaignPool object...
         # ...and the same live worker processes.
-        assert [worker.process.pid for worker in pool._supervised._members] == pids
+        assert [worker.process.pid for worker in pool._members] == pids
     # Pooled results equal the serial legacy drivers.
     assert first == sweep_family(family, "power")
     assert second == sweep_family(family, "arm")
@@ -280,7 +280,7 @@ def test_model_objects_shard_on_the_session_workers(family):
                     family[:3], chips=[custom, chips[1]], iterations=5_000
                 )
                 pool = session._pool
-                assert pool._supervised.alive == 2  # the workers spawned
+                assert pool.alive == 2  # the workers spawned
                 assert pool.counters["unpicklable_payloads"] == 0
         assert swept == sweep_family(family[:6], model)
         assert repaired.reports == repair_family(family[:4], model).reports
